@@ -9,7 +9,7 @@ numpy FFT; Parseval then reads  h^dim * sum|u|^2 == (h^dim / Ntot) * sum|uhat|^2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -234,16 +234,36 @@ def apply_dealias(state: FieldState) -> FieldState:
     return FieldState.from_spectral(g, spec)
 
 
+@lru_cache(maxsize=16)
+def _outer_mask(grid: GridSpec, shell: float) -> np.ndarray:
+    outer = np.zeros(grid.shape, dtype=bool)
+    for x, L in zip(grid.coords, grid.extent):
+        outer |= np.abs(x) > (1.0 - shell) * (L / 2.0)
+    outer.flags.writeable = False
+    return outer
+
+
+@lru_cache(maxsize=16)
+def _tail_mask(grid: GridSpec, inner: float) -> np.ndarray:
+    tail = np.zeros(grid.shape, dtype=bool)
+    for axis, (k, N) in enumerate(zip(grid.mode_indices, grid.points)):
+        cut = grid.dealias_fraction * (N / 2.0)
+        sel = np.abs(k) > inner * cut
+        shape = [1] * grid.dim
+        shape[axis] = N
+        tail |= sel.reshape(shape)
+    tail &= grid.dealias_mask
+    tail.flags.writeable = False
+    return tail
+
+
 def boundary_mass_fraction(state: FieldState, shell: float = 0.1) -> float:
     """Mass fraction in the outer `shell` of the box (torus health diagnostic).
 
     The outer region is where max_i |x_i| / (L_i/2) > 1 - shell.  Values that
     are not tiny mean the torus truncation of R^n is no longer trustworthy.
     """
-    g = state.grid
-    outer = np.zeros(g.shape, dtype=bool)
-    for x, L in zip(g.coords, g.extent):
-        outer |= np.abs(x) > (1.0 - shell) * (L / 2.0)
+    outer = _outer_mask(state.grid, shell)
     total = np.sum(np.abs(state.values) ** 2)
     if total == 0.0:
         return 0.0
@@ -258,15 +278,7 @@ def spectral_tail_fraction(state: FieldState, inner: float = 0.75) -> float:
     """
     g = state.grid
     uh2 = np.abs(state.spectral) ** 2
-    tail = np.zeros(g.shape, dtype=bool)
-    for axis, (k, N) in enumerate(zip(g.mode_indices, g.points)):
-        cut = g.dealias_fraction * (N / 2.0)
-        sel = np.abs(k) > inner * cut
-        shape = [1] * g.dim
-        shape[axis] = N
-        tail |= sel.reshape(shape)
-    tail &= g.dealias_mask
     total = np.sum(uh2[g.dealias_mask])
     if total == 0.0:
         return 0.0
-    return float(np.sum(uh2[tail]) / total)
+    return float(np.sum(uh2[_tail_mask(g, inner)]) / total)

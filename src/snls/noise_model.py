@@ -4,15 +4,17 @@ The operator acts diagonally on the real trigonometric basis of the torus:
 for each unordered mode pair {m, -m} the basis holds sqrt(2/L^d) cos(xi x)
 and sqrt(2/L^d) sin(xi x) (the constant 1/sqrt(L^d) for m = 0), and phi
 multiplies both by the amplitude lambda_m >= 0.  A convolution kernel is the
-same thing with lambda read off its Fourier multiplier.  Every scalar
-functional used by the bounds is a straightforward sum/quadrature over the
-sampled basis fields, so the discrete constants are exactly the ones the
-sampler realizes.
+same thing with lambda read off its Fourier multiplier.  No basis field is
+stored: increments are synthesised by one inverse FFT (Lord, Powell & Shardlow
+2014, ch. 10), and the functionals used by the bounds are the grid quadratures
+of the basis fields in closed form, exactly the constants the sampler realizes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +25,6 @@ __all__ = [
     "NoiseConstants",
     "NoiseSampler",
     "noise_constants",
-    "sample_increment_real",
-    "sample_increment_complex",
     "gaussian_spectrum_amplitudes",
     "make_rng",
 ]
@@ -111,18 +111,13 @@ class CovarianceSpec:
         tol = self.kernel_floor * float(np.max(np.abs(mult)))
         if np.min(mult) < -tol:
             raise ValueError("kernel multiplier is not nonnegative")
-        amps = {}
-        kmesh = np.meshgrid(*grid.mode_indices, indexing="ij")
-        flat = [k.ravel() for k in kmesh]
-        mvals = mult.ravel()
-        for i in range(grid.total_points):
-            lam = mvals[i]
-            if lam <= tol:
-                continue
-            mode = tuple(int(k[i]) for k in flat)
-            rep = _pair_representative(mode)
-            amps[rep] = self.scale * float(lam)
-        return amps
+        keep = np.flatnonzero(mult > tol)
+        modes = np.stack([k[i] for k, i in zip(grid.mode_indices,
+                                                np.unravel_index(keep, grid.shape))], axis=1)
+        first = modes[np.arange(len(modes)), np.argmax(modes != 0, axis=1)]
+        modes = np.where((first < 0)[:, None], -modes, modes)
+        # later grid points overwrite earlier ones of the same pair, as dict() does
+        return dict(zip(map(tuple, modes.tolist()), (self.scale * mult.ravel()[keep]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -141,61 +136,100 @@ class NoiseConstants:
     C_phi_2: float         # Im sum_k int phi e_k  x . grad(conj phi e_k)
 
 
+def _mode_table(spec: CovarianceSpec, grid: GridSpec):
+    """Sorted pair representatives, one per row, and their amplitudes."""
+    amps = spec.mode_amplitudes(grid)
+    keys = sorted(amps)
+    modes = np.array(keys, dtype=np.int64).reshape(len(keys), grid.dim)
+    if np.any(np.abs(modes) > grid.dealias_fraction * (np.array(grid.points) / 2.0) + 1e-9):
+        raise ValueError("covariance exceeds spectral band")
+    return modes, np.array([amps[m] for m in keys], dtype=float)
+
+
+@lru_cache(maxsize=64)
+def _phase_mean_lp_sq(D: int, p: float) -> float:
+    """(mean |cos|^p)^(2/p) + (mean |sin|^p)^(2/p) over the phases 2 pi r/D, r < D."""
+    phase = 2.0 * np.pi * np.arange(D) / D
+    return sum(float(np.mean(np.abs(f(phase)) ** p)) ** (2.0 / p) for f in (np.cos, np.sin))
+
+
+def _constants(modes, lam, grid: GridSpec, sigma: float) -> NoiseConstants:
+    p, n = 2.0 * sigma + 2.0, grid.dim
+    vol = math.prod(grid.extent)
+    # cos^2 + sin^2 = 1 on the grid, so a pair's e^2 sums like the constant 2/V
+    # and its |grad e|^2 like |xi|^2 2/V; the single m = 0 field is 1/V.
+    w2 = np.where(modes.any(axis=1), 2.0, 1.0) * lam**2
+    xi2 = np.sum((2.0 * np.pi * modes / np.array(grid.extent)) ** 2, axis=1)
+    hs00 = float(np.sum(w2))
+    C1 = float(np.sum(w2 * xi2))
+    hs01 = hs00 + C1
+    c_sigma = hs00 * sum(float(np.mean(x**2)) for x in grid.axes)
+    # m.j/N (mod 1) covers the cyclic group of order D = lcm_a N_a / gcd(m_a, N_a)
+    # evenly, so h sum_x |cos(xi x)|^p is V times its mean over that group.
+    order = np.lcm.reduce(grid.points // np.gcd(modes, grid.points), axis=1)
+    D, of_pair = np.unique(order, return_inverse=True)
+    lp_sq = vol ** (2.0 / p) * np.array([_phase_mean_lp_sq(int(d), p) for d in D])
+    c_rad = float(np.sum(w2 / vol * lp_sq[of_pair]))
+    c_interp = hs01 ** (n * sigma / (2.0 * p)) * hs00 ** ((2.0 - (n - 2) * sigma) / (2.0 * p))
+    # Basis fields are real, so Im int phi e_k x.grad(phi e_k) vanishes exactly.
+    return NoiseConstants(
+        hs00=hs00, hs01=hs01, F_phi=np.full(grid.shape, hs00 / vol),
+        f1_phi=np.full(grid.shape, C1 / vol), M_phi=C1 / vol,
+        C_phi_interp=float(c_interp) if hs00 > 0 else 0.0,
+        C_rad_2s2=c_rad, C_phi_Sigma=c_sigma, C_phi_1=C1, C_phi_2=0.0,
+    )
+
+
 class NoiseSampler:
-    """Precomputed basis fields for repeated increment draws on one grid."""
+    """Spectral synthesis of increments on one grid, without basis fields.
+
+    Gaussians are drawn in a fixed order: sorted pair representatives, cos
+    before sin.  Each owns one slot (re or im part) of the half spectrum an
+    inverse real FFT reads; Nyquist pairs such as (1, 4) and (1, -4) at N = 8
+    share one, and their draws add.  Draws write a scratch spectrum the
+    sampler owns, so use one sampler per thread.
+    """
 
     def __init__(self, spec: CovarianceSpec, grid: GridSpec):
         self.spec = spec
         self.grid = grid
-        amps = spec.mode_amplitudes(grid)
-        self._validate_band(amps, grid)
-        fields = []
-        grads = []
-        weights = []
+        self._modes, self._lam = modes, lam = _mode_table(spec, grid)
+        per_pair = np.where(modes.any(axis=1), 2, 1)
+        pair = np.repeat(np.arange(len(lam)), per_pair)
+        is_sin = np.arange(pair.size) - (np.cumsum(per_pair) - per_pair)[pair]
+        self.weights = lam[pair]
+        self.n_basis = int(pair.size)
+        # lambda e_m = Re[c exp(2 pi i m.j/N)] on x_j = -L/2 + j h, c = lambda sqrt(2/V)
+        # (-1)^{sum m} (cos), -i c (sin), lambda / sqrt(V) (m = 0).  irfftn reads last-axis
+        # indices 0..N/2 (m_last < 0 writes conj(c) at -m) and doubles all but 0 and N/2.
         vol = float(np.prod(grid.extent))
-        coords = grid.coords
-        for mode in sorted(amps):
-            lam = amps[mode]
-            xi = np.array([2.0 * np.pi * m / L for m, L in zip(mode, grid.extent)])
-            phase = np.zeros(grid.shape)
-            for c, x in zip(xi, coords):
-                phase = phase + c * x
-            if all(m == 0 for m in mode):
-                fields.append(np.full(grid.shape, vol**-0.5))
-                grads.append(np.zeros((grid.dim,) + grid.shape))
-                weights.append(lam)
-            else:
-                amp = (2.0 / vol) ** 0.5
-                cosf, sinf = amp * np.cos(phase), amp * np.sin(phase)
-                fields.append(cosf)
-                grads.append(np.stack([-c * sinf for c in xi]))
-                weights.append(lam)
-                fields.append(sinf)
-                grads.append(np.stack([c * cosf for c in xi]))
-                weights.append(lam)
-        self.basis = np.array(fields) if fields else np.zeros((0,) + grid.shape)
-        self.basis_grad = (
-            np.array(grads) if grads else np.zeros((0, grid.dim) + grid.shape)
-        )
-        self.weights = np.asarray(weights)
-        self.n_basis = len(weights)
-
-    @staticmethod
-    def _validate_band(amps, grid):
-        for mode in amps:
-            for m, N, f in zip(mode, grid.points, (grid.dealias_fraction,) * grid.dim):
-                if abs(m) > f * (N / 2.0) + 1e-9:
-                    raise ValueError("covariance exceeds spectral band")
+        last = modes[:, -1]
+        edge = (last == 0) | (2 * np.abs(last) == grid.points[-1])
+        flip = (last < 0) & ~edge
+        sign = 1 - 2 * (modes.sum(axis=1) % 2)
+        coef = grid.total_points * lam * sign * np.where(edge, 1.0, 0.5) * np.where(
+            per_pair == 1, vol**-0.5, (2.0 / vol) ** 0.5)
+        self._coef = coef[pair] * np.where(is_sin, np.where(flip[pair], 1, -1), 1)
+        self._spectrum = np.zeros(grid.shape[:-1] + (grid.points[-1] // 2 + 1,), complex)
+        self._spectrum_parts = self._spectrum.reshape(-1).view(np.float64)
+        target = np.where(flip[:, None], -modes, modes) % grid.points
+        slots = 2 * np.ravel_multi_index(tuple(target.T), self._spectrum.shape)[pair] + is_sin
+        unique = np.unique(slots)
+        self._slots, self._gather = ((unique, np.searchsorted(unique, slots))
+                                     if unique.size < slots.size else (slots, None))
 
     def sample_real(self, dt: float, rng: np.random.Generator) -> np.ndarray:
         """One real increment Delta W = sqrt(dt) sum_k lambda_k g_k e_k."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if self.n_basis == 0:
-            return np.zeros(self.grid.shape)
         g = rng.standard_normal(self.n_basis)
-        coeff = np.sqrt(dt) * self.weights * g
-        return np.tensordot(coeff, self.basis, axes=(0, 0))
+        g *= dt**0.5 * self._coef
+        if self._gather is not None:
+            g = np.bincount(self._gather, weights=g, minlength=self._slots.size)
+        self._spectrum_parts[self._slots] = g
+        if self.grid.dim == 1:  # irfftn's axis handling costs as much as a short irfft
+            return np.fft.irfft(self._spectrum, self.grid.points[0])
+        return np.fft.irfftn(self._spectrum, self.grid.shape, axes=range(self.grid.dim))
 
     def sample_complex(self, dt: float, rng: np.random.Generator) -> np.ndarray:
         """Complex increment: independent Re/Im, each with amplitude / sqrt(2).
@@ -208,48 +242,13 @@ class NoiseSampler:
         return re + 1j * im
 
     def constants(self, sigma: float) -> NoiseConstants:
-        g = self.grid
-        h = g.cell_volume
-        lam2 = self.weights**2
-        F_phi = np.tensordot(lam2, self.basis**2, axes=(0, 0))
-        gsq = np.sum(self.basis_grad**2, axis=1)
-        f1_phi = np.tensordot(lam2, gsq, axes=(0, 0))
-        l2 = h * np.sum(self.basis**2, axis=tuple(range(1, 1 + g.dim)))
-        grad_l2 = h * np.sum(gsq, axis=tuple(range(1, 1 + g.dim)))
-        hs00 = float(np.sum(lam2 * l2))
-        C1 = float(np.sum(lam2 * grad_l2))
-        hs01 = hs00 + C1
-        p = 2.0 * sigma + 2.0
-        lp = (h * np.sum(np.abs(self.basis) ** p, axis=tuple(range(1, 1 + g.dim)))) ** (2.0 / p)
-        c_rad = float(np.sum(lam2 * lp))
-        xsq = g.radius_sq
-        sig = h * np.sum(xsq * self.basis**2, axis=tuple(range(1, 1 + g.dim)))
-        c_sigma = float(np.sum(lam2 * sig))
-        # Basis fields are real, so Im int phi e_k x.grad(phi e_k) vanishes exactly.
-        c2 = 0.0
-        n = g.dim
-        c_interp = hs01 ** (n * sigma / (2.0 * p)) * hs00 ** ((2.0 - (n - 2) * sigma) / (2.0 * p))
-        return NoiseConstants(
-            hs00=hs00, hs01=hs01, F_phi=F_phi, f1_phi=f1_phi,
-            M_phi=float(np.max(f1_phi)) if f1_phi.size else 0.0,
-            C_phi_interp=float(c_interp) if hs00 > 0 else 0.0,
-            C_rad_2s2=c_rad, C_phi_Sigma=c_sigma, C_phi_1=C1, C_phi_2=c2,
-        )
+        return _constants(self._modes, self._lam, self.grid, sigma)
 
 
 def noise_constants(spec: CovarianceSpec, grid: GridSpec, sigma: float) -> NoiseConstants:
     """All scalar functionals of phi on this grid (see NoiseConstants)."""
-    return NoiseSampler(spec, grid).constants(sigma)
+    return _constants(*_mode_table(spec, grid), grid, sigma)
 
-
-def sample_increment_real(spec: CovarianceSpec, grid: GridSpec, dt: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    return NoiseSampler(spec, grid).sample_real(dt, rng)
-
-
-def sample_increment_complex(spec: CovarianceSpec, grid: GridSpec, dt: float,
-                             rng: np.random.Generator) -> np.ndarray:
-    return NoiseSampler(spec, grid).sample_complex(dt, rng)
 
 
 def gaussian_spectrum_amplitudes(grid: GridSpec, strength: float, width: float,

@@ -8,9 +8,11 @@ from snls.grid import (
     FieldState,
     GridSpec,
     apply_dealias,
+    boundary_mass_fraction,
     gradient_norm_sq,
     mass,
     quadrature_lp,
+    spectral_tail_fraction,
     weighted_variance_quadrature,
 )
 from conftest import random_smooth_field
@@ -186,3 +188,41 @@ def test_3d_grid_quadrature():
     g = GridSpec(3, 8.0, 16)
     u = FieldState(g, np.ones(g.shape, dtype=complex))
     assert mass(u) == pytest.approx(8.0**3, rel=1e-13)
+
+
+def _reference_boundary_fraction(state, shell):
+    g = state.grid
+    outer = np.zeros(g.shape, dtype=bool)
+    for x, L in zip(g.coords, g.extent):
+        outer |= np.abs(x) > (1.0 - shell) * (L / 2.0)
+    total = np.sum(np.abs(state.values) ** 2)
+    return 0.0 if total == 0.0 else float(np.sum(np.abs(state.values[outer]) ** 2) / total)
+
+
+def _reference_tail_fraction(state, inner):
+    g = state.grid
+    uh2 = np.abs(state.spectral) ** 2
+    tail = np.zeros(g.shape, dtype=bool)
+    for axis, (k, N) in enumerate(zip(g.mode_indices, g.points)):
+        sel = np.abs(k) > inner * g.dealias_fraction * (N / 2.0)
+        shape = [1] * g.dim
+        shape[axis] = N
+        tail |= sel.reshape(shape)
+    tail &= g.dealias_mask
+    total = np.sum(uh2[g.dealias_mask])
+    return 0.0 if total == 0.0 else float(np.sum(uh2[tail]) / total)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 10.0, 64),
+                                  GridSpec(2, (8.0, 12.0), (16, 24), dealias_fraction=1.0),
+                                  GridSpec(3, 6.0, 8)])
+def test_cached_masks_match_per_call_reference(grid):
+    rng = np.random.default_rng(3)
+    u = FieldState(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    for _ in range(2):  # the second pass reads the cached masks
+        for shell in (0.1, 0.3):
+            assert boundary_mass_fraction(u, shell) == _reference_boundary_fraction(u, shell)
+        for inner in (0.75, 0.5):
+            assert spectral_tail_fraction(u, inner) == _reference_tail_fraction(u, inner)
+    zero = FieldState(grid, np.zeros(grid.shape))
+    assert boundary_mass_fraction(zero) == 0.0 and spectral_tail_fraction(zero) == 0.0

@@ -12,8 +12,6 @@ from snls.noise_model import (
     gaussian_spectrum_amplitudes,
     make_rng,
     noise_constants,
-    sample_increment_complex,
-    sample_increment_real,
 )
 
 
@@ -91,18 +89,18 @@ def test_cauchy_schwarz_chain(grid):
 
 def test_reproducible_increments(grid):
     spec = CovarianceSpec("fourier_diagonal", {(1,): 0.5, (2,): 0.25})
-    a = sample_increment_real(spec, grid, 0.1, make_rng(7, 3))
-    b = sample_increment_real(spec, grid, 0.1, make_rng(7, 3))
+    a = NoiseSampler(spec, grid).sample_real(0.1, make_rng(7, 3))
+    b = NoiseSampler(spec, grid).sample_real(0.1, make_rng(7, 3))
     assert np.array_equal(a, b)
-    c = sample_increment_real(spec, grid, 0.1, make_rng(7, 4))
+    c = NoiseSampler(spec, grid).sample_real(0.1, make_rng(7, 4))
     assert not np.array_equal(a, c)
 
 
 def test_zero_covariance_increment(grid):
     spec = CovarianceSpec("fourier_diagonal", {})
-    dw = sample_increment_real(spec, grid, 0.1, make_rng(0, 0))
+    dw = NoiseSampler(spec, grid).sample_real(0.1, make_rng(0, 0))
     assert np.all(dw == 0.0)
-    dwc = sample_increment_complex(spec, grid, 0.1, make_rng(0, 0))
+    dwc = NoiseSampler(spec, grid).sample_complex(0.1, make_rng(0, 0))
     assert np.all(dwc == 0.0)
 
 
@@ -194,7 +192,7 @@ def test_physical_kernel_reduces_to_diagonal():
 
 def test_multiplicative_increment_is_real(grid):
     spec = CovarianceSpec("fourier_diagonal", {(1,): 0.5})
-    dw = sample_increment_real(spec, grid, 0.1, make_rng(1, 1))
+    dw = NoiseSampler(spec, grid).sample_real(0.1, make_rng(1, 1))
     assert np.isrealobj(dw)
 
 
@@ -203,5 +201,145 @@ def test_2d_constants_and_sampling():
     spec = CovarianceSpec("fourier_diagonal", {(0, 0): 0.2, (1, 0): 0.1, (1, 1): 0.1})
     nc = noise_constants(spec, grid, 1.0)
     assert nc.hs00 == pytest.approx(0.2**2 + 2 * 0.1**2 + 2 * 0.1**2, rel=1e-12)
-    dw = sample_increment_real(spec, grid, 0.1, make_rng(0, 0))
+    dw = NoiseSampler(spec, grid).sample_real(0.1, make_rng(0, 0))
     assert dw.shape == grid.shape
+
+
+# Dense cos/sin reference: the basis fields phi e_k and their exact gradients
+# in draw order, streamed one at a time.  This is the test oracle for the
+# spectral sampler and the closed-form constants.
+def _dense_basis(spec, grid):
+    amps = spec.mode_amplitudes(grid)
+    vol = float(np.prod(grid.extent))
+    for mode in sorted(amps):
+        lam = amps[mode]
+        xi = [2.0 * np.pi * m / L for m, L in zip(mode, grid.extent)]
+        if not any(mode):
+            yield lam, np.full(grid.shape, vol**-0.5), np.zeros((grid.dim,) + grid.shape)
+            continue
+        phase = sum(c * x for c, x in zip(xi, grid.coords))
+        cosf = math.sqrt(2.0 / vol) * np.cos(phase)
+        sinf = math.sqrt(2.0 / vol) * np.sin(phase)
+        yield lam, cosf, np.stack([-c * sinf for c in xi])
+        yield lam, sinf, np.stack([c * cosf for c in xi])
+
+
+def _dense_draw(spec, grid, dt, rng):
+    g = iter(rng.standard_normal(sum(2 if any(m) else 1 for m in spec.mode_amplitudes(grid))))
+    return sum(math.sqrt(dt) * lam * next(g) * f for lam, f, _ in _dense_basis(spec, grid))
+
+
+def _dense_constants(spec, grid, sigma):
+    h, p, n = grid.cell_volume, 2.0 * sigma + 2.0, grid.dim
+    F = np.zeros(grid.shape)
+    f1 = np.zeros(grid.shape)
+    hs00 = c1 = c_rad = c_sigma = 0.0
+    for lam, f, grad in _dense_basis(spec, grid):
+        gsq = np.sum(grad**2, axis=0)
+        F += lam**2 * f**2
+        f1 += lam**2 * gsq
+        hs00 += lam**2 * h * np.sum(f**2)
+        c1 += lam**2 * h * np.sum(gsq)
+        c_rad += lam**2 * (h * np.sum(np.abs(f) ** p)) ** (2.0 / p)
+        c_sigma += lam**2 * h * np.sum(grid.radius_sq * f**2)
+    hs01 = hs00 + c1
+    interp = hs01 ** (n * sigma / (2.0 * p)) * hs00 ** ((2.0 - (n - 2) * sigma) / (2.0 * p))
+    return dict(hs00=hs00, hs01=hs01, F_phi=F, f1_phi=f1, M_phi=np.max(f1),
+                C_phi_interp=interp, C_rad_2s2=c_rad, C_phi_Sigma=c_sigma, C_phi_1=c1,
+                C_phi_2=0.0)
+
+
+def _oracle_cases():
+    g1 = GridSpec(1, 7.0, 16, dealias_fraction=1.0)
+    yield "1d-nyquist", g1, CovarianceSpec(
+        "fourier_diagonal", {(0,): 0.3, (1,): 0.2, (5,): 0.15, (8,): 0.1}), 2.0
+    # (1, +-4), (6, +-4) and (6, 0) sit on Nyquist bins of the (12, 8) grid;
+    # the +-4 pairs share one bin each
+    g2 = GridSpec(2, (10.0, 6.0), (12, 8), dealias_fraction=1.0)
+    yield "2d-anisotropic", g2, CovarianceSpec("fourier_diagonal", {
+        (0, 0): 0.2, (1, 4): 0.1, (1, -4): 0.15, (2, -3): 0.05, (0, 4): 0.07,
+        (6, 0): 0.03, (6, 4): 0.02, (6, -4): 0.01, (3, 1): 0.04, (0, 1): 0.06}), 1.3
+    gk = GridSpec(2, (2 * np.pi, 8.0), (48, 56))
+    yield "2d-kernel", gk, CovarianceSpec(
+        "physical_kernel", kernel=np.exp(-gk.radius_sq / (2 * 0.5**2)), scale=0.3), 2.5
+    ga = GridSpec(3, (6.0, 8.0, 5.0), (8, 12, 10), dealias_fraction=1.0)
+    yield "3d-anisotropic", ga, CovarianceSpec("fourier_diagonal", {
+        (0, 0, 0): 0.1, (1, 2, -3): 0.2, (0, 1, 5): 0.05, (4, -6, 1): 0.07,
+        (2, 0, -5): 0.03, (3, 3, 3): 0.04, (0, 0, 2): 0.08, (4, 6, -5): 0.02}), 0.7
+    g3 = GridSpec(3, 20.0, 32, dealias_fraction=1.0)
+    yield "3d-32", g3, CovarianceSpec(
+        "fourier_diagonal", gaussian_spectrum_amplitudes(g3, 0.05, 1.0, 4)), 1.0
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_spectral_draw_matches_dense_basis(case):
+    _, grid, spec, _ = case
+    sampler = NoiseSampler(spec, grid)
+    rng, ref_rng = make_rng(11, 2), make_rng(11, 2)
+    for dt in (0.1, 0.003):
+        dw = sampler.sample_real(dt, rng)
+        ref = _dense_draw(spec, grid, dt, ref_rng)
+        assert dw.shape == grid.shape
+        assert np.max(np.abs(dw - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_closed_form_constants_match_dense_quadrature(case):
+    _, grid, spec, sigma = case
+    nc = noise_constants(spec, grid, sigma)
+    ref = _dense_constants(spec, grid, sigma)
+    for name, want in ref.items():
+        got = np.asarray(getattr(nc, name))
+        assert got.shape == np.shape(want), name
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_draw_consumes_exactly_n_basis_normals():
+    grid = GridSpec(2, (10.0, 6.0), (12, 8), dealias_fraction=1.0)
+    spec = CovarianceSpec("fourier_diagonal", {(0, 0): 0.2, (1, 4): 0.1, (1, -4): 0.1, (2, 1): 0.3})
+    sampler = NoiseSampler(spec, grid)
+    assert sampler.n_basis == 7
+    rng, ref = make_rng(4, 9), make_rng(4, 9)
+    sampler.sample_real(0.01, rng)
+    ref.standard_normal(sampler.n_basis)
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+def test_3d_sampler_holds_no_basis():
+    grid = GridSpec(3, 20.0, 32, dealias_fraction=1.0)
+    spec = CovarianceSpec("fourier_diagonal", gaussian_spectrum_amplitudes(grid, 0.05, 1.0, 4))
+    sampler = NoiseSampler(spec, grid)
+    assert sampler.n_basis == 729
+    assert not hasattr(sampler, "basis") and not hasattr(sampler, "basis_grad")
+    held = sum(v.nbytes for v in vars(sampler).values() if isinstance(v, np.ndarray))
+    assert held < 2e6
+
+
+def _reference_kernel_amplitudes(spec, grid):
+    """Per-grid-point loop over the kernel multiplier: the reference for mode_amplitudes."""
+    mult = grid.cell_volume * np.real(np.fft.fftn(np.fft.ifftshift(spec.kernel)))
+    tol = spec.kernel_floor * float(np.max(np.abs(mult)))
+    flat = [k.ravel() for k in np.meshgrid(*grid.mode_indices, indexing="ij")]
+    amps = {}
+    for i, lam in enumerate(mult.ravel()):
+        if lam <= tol:
+            continue
+        mode = tuple(int(k[i]) for k in flat)
+        sign = next((1 if m > 0 else -1 for m in mode if m != 0), 1)
+        amps[tuple(sign * m for m in mode)] = spec.scale * float(lam)
+    return amps
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_mode_amplitudes_match_per_point_loop(dim):
+    grid = GridSpec(dim, 2 * np.pi, 64) if dim == 1 else GridSpec(2, (8.0, 6.0), (16, 24))
+    r2 = sum(x**2 for x in grid.coords)
+    spec = CovarianceSpec("physical_kernel", kernel=np.exp(-r2 / (2 * 0.5**2)), scale=0.7)
+    got = spec.mode_amplitudes(grid)
+    want = _reference_kernel_amplitudes(spec, grid)
+    assert list(got) == list(want)
+    assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
+    assert all(type(m) is int for k in got for m in k)
