@@ -25,7 +25,7 @@ from .ensemble import (
 )
 from .ground_state import GroundStateError, energy_three_ways, solve_ground_state
 from .initial_data import build_initial_data
-from .noise_model import make_rng, noise_constants
+from .noise_model import make_rng
 from .observables import classify_dichotomy
 from .report import build_theory_report
 from .verify import run_suite
@@ -144,12 +144,11 @@ def cmd_ensemble(args):
         rep = build_theory_report(cfg, gs=gs)
         drift = []
         if sim.noise_type == "additive" and cov is not None and "mass" in summary.mean_paths:
-            nc = noise_constants(cov, grid, sim.sigma)
             u0 = build_initial_data(init, grid, gs,
                                     make_rng(ecfg.master_seed, 0) if init.is_random else None)
             from .grid import mass as grid_mass
 
-            drift.append(mass_drift_check(summary, grid_mass(u0), nc.hs00))
+            drift.append(mass_drift_check(summary, grid_mass(u0), rep.noise.hs00))
         summary.theory_comparison = compare_with_theory(summary, rep, drift_checks=drift)
         if any(v.get("verdict") == "violated" for v in summary.theory_comparison):
             _json_out(summary.to_dict())

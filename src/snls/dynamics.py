@@ -5,27 +5,43 @@ substep.  Sign conventions follow the dynamics  i u_t - (Lap u + |u|^2s u) = 0,
 under which the soliton is u(t, x) = e^{-i t} Q(x):
 
   * nonlinear half step:  u <- u exp(-i |u|^2s dt/2)      (exact phase flow)
-  * linear full step:     uhat <- uhat exp(+i |xi|^2 dt)
+  * linear full step:     uhat <- uhat exp(+i |xi|^2 dt) mask
+  * nonlinear half step again
   * multiplicative noise: u <- u exp(-i dW(x))            (Stratonovich-exact;
     the Ito correction -(1/2) F_phi u dt is contained in the exponential and
     must not be added again)
   * additive noise:       u <- u - i dW
 
-The multiplicative substep is a pointwise unimodular multiplication, so the
-discrete mass is conserved to rounding, which is the structural counterpart
-of the a.s. mass conservation of the Stratonovich equation.
+The dealiasing mask (GridSpec.dealias_mask) sits on the linear propagator
+only: the propagator exp(i |xi|^2 dt) mask is cached per (grid, dt), and no
+separate filtering pass follows the trailing half step.  With the
+nonlinearity disabled the propagator is unmasked.
+
+The phase substeps are pointwise unimodular multiplications, so the discrete
+mass is conserved to rounding, which is the structural counterpart of the
+a.s. mass conservation of the Stratonovich equation.  They leave |u|
+unchanged and therefore commute: run_trajectory carries the post-linear field
+w and fuses the trailing half step, the noise phase and the next leading half
+step into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s.  A step is then
+one FFT pair, one evaluation of P and one complex exponential.  A FieldState
+is built only at record times, where the pending phase is applied to give u;
+the next leading half step then uses the dt chosen after the adaptive check.
+The additive substep is not a phase, so there the trailing half step is
+applied before it on every step.  step_deterministic is the same Strang step
+on a FieldState, built from the same phase and propagator helpers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import FieldState, apply_dealias, mass, spectral_tail_fraction
+from .grid import FieldState, GridSpec, fft_field, ifft_field, mass, spectral_tail_fraction
 from .ground_state import GroundState
 from .noise_model import CovarianceSpec, NoiseSampler, make_rng
-from .observables import ObservableSample, observe
+from .observables import SAMPLE_KEYS, ObservableSample, observe, sample_values
 
 __all__ = [
     "AdaptSpec",
@@ -178,8 +194,10 @@ class TrajectoryRecord:
 
     def sample_arrays(self):
         """Column arrays keyed by observable name, for aggregation."""
-        keys = self.samples[0].to_dict().keys() if self.samples else []
-        return {k: np.array([s.to_dict()[k] for s in self.samples]) for k in keys}
+        if not self.samples:
+            return {}
+        columns = np.array([sample_values(s) for s in self.samples]).T.copy()
+        return dict(zip(SAMPLE_KEYS, columns))
 
     def to_summary_dict(self):
         return {
@@ -192,11 +210,37 @@ class TrajectoryRecord:
         }
 
 
-def _nonlinear_phase(values: np.ndarray, sigma: float, dt_half: float) -> np.ndarray:
+def _power(values: np.ndarray, sigma: float) -> np.ndarray:
     # |u|^(2 sigma) as exp(sigma log |u|^2) with a floor, robust for fractional sigma
     abs2 = np.maximum(values.real**2 + values.imag**2, 1e-300)
-    power = np.exp(sigma * np.log(abs2))
-    return values * np.exp(-1j * dt_half * power)
+    return np.exp(sigma * np.log(abs2))
+
+
+def _phase(values: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """values * exp(-i theta) for a real theta; cos and sin beat a complex exp."""
+    rot = np.empty(values.shape, dtype=np.complex128)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    np.negative(rot.imag, out=rot.imag)
+    rot *= values
+    return rot
+
+
+@lru_cache(maxsize=8)
+def _propagator(grid: GridSpec, dt: float, masked: bool) -> np.ndarray:
+    """exp(i |xi|^2 dt), times the dealiasing mask when masked."""
+    prop = np.exp(1j * grid.laplacian_symbol * dt)
+    if masked:
+        prop *= grid.dealias_mask
+    prop.flags.writeable = False
+    return prop
+
+
+def _linear(values: np.ndarray, grid: GridSpec, dt: float, masked: bool):
+    """The linear full step: (new values, their spectrum)."""
+    spec = fft_field(values)
+    spec *= _propagator(grid, dt, masked)
+    return ifft_field(spec), spec
 
 
 def step_deterministic(u: FieldState, dt: float, sigma: float,
@@ -205,21 +249,11 @@ def step_deterministic(u: FieldState, dt: float, sigma: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = u.grid
-    vals = u.values
-    if not skip_nonlinear:
-        vals = _nonlinear_phase(vals, sigma, dt / 2.0)
-    spec = np.fft.fftn(vals)
-    spec *= np.exp(1j * g.laplacian_symbol * dt)
-    if dealias and not skip_nonlinear and g.dealias_fraction < 1.0:
-        spec *= g.dealias_mask
-    vals = np.fft.ifftn(spec)
-    if not skip_nonlinear:
-        vals = _nonlinear_phase(vals, sigma, dt / 2.0)
-        out = FieldState(g, vals)
-        if dealias and g.dealias_fraction < 1.0:
-            out = apply_dealias(out)
-        return out
-    return FieldState(g, vals, spec)
+    if skip_nonlinear:
+        return FieldState(g, *_linear(u.values, g, dt, masked=False))
+    vals = _phase(u.values, (dt / 2.0) * _power(u.values, sigma))
+    vals, _ = _linear(vals, g, dt, masked=dealias and g.dealias_fraction < 1.0)
+    return FieldState(g, _phase(vals, (dt / 2.0) * _power(vals, sigma)))
 
 
 def step_multiplicative(u: FieldState, dW: np.ndarray) -> FieldState:
@@ -227,12 +261,16 @@ def step_multiplicative(u: FieldState, dW: np.ndarray) -> FieldState:
     dW = np.asarray(dW)
     if np.iscomplexobj(dW) and np.max(np.abs(dW.imag)) > 0:
         raise ValueError("multiplicative increment must be real")
-    return u.with_values(u.values * np.exp(-1j * dW.real))
+    return u.with_values(_phase(u.values, dW.real))
 
 
 def step_additive(u: FieldState, dW: np.ndarray) -> FieldState:
     """Additive substep u <- u - i dW (from i du = dW on the noise flow)."""
     return u.with_values(u.values - 1j * np.asarray(dW, dtype=complex))
+
+
+def _finite(values: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(values.view(np.float64))))
 
 
 class _StoppingTrackers:
@@ -275,18 +313,21 @@ class _StoppingTrackers:
 
 
 def run_trajectory(config: SimConfig, u0: FieldState, spec: CovarianceSpec | None,
-                   seed) -> TrajectoryRecord:
+                   seed, sampler: NoiseSampler | None = None) -> TrajectoryRecord:
     """Integrate one path to T_end, blow-up, or failure.
 
     Deterministic given (config, u0, spec, seed): the noise stream is a
     counter-based generator keyed by the seed, so reruns are bitwise identical.
+    sampler, if given, is a NoiseSampler of (spec, u0.grid) shared by the
+    trajectories of one worker; it is built here otherwise.
     """
+    g = u0.grid
     rng = None
-    sampler = None
     if config.noise_type != "none":
         if spec is None:
             raise ValueError("noise_type set but no covariance spec given")
-        sampler = NoiseSampler(spec, u0.grid)
+        if sampler is None:
+            sampler = NoiseSampler(spec, g)
         if isinstance(seed, tuple):
             rng = make_rng(seed[0], seed[1])
         else:
@@ -294,45 +335,80 @@ def run_trajectory(config: SimConfig, u0: FieldState, spec: CovarianceSpec | Non
 
     m0 = mass(u0)
     alpha = config.alpha_or_zero
-    grad0 = observe(u0, 0.0, m0, alpha, config.sigma).grad_sq
+    sigma = config.sigma
+    trackers = _StoppingTrackers(config)
+    samples: list[ObservableSample] = []
+
+    def record(state, time):
+        s = observe(state, time, m0, alpha, sigma)
+        samples.append(s)
+        trackers.update(s)
+        return s
+
+    grad0 = record(u0, 0.0).grad_sq
     if grad0 >= config.grad_threshold**2:
         raise ValueError("grad_threshold must exceed the initial gradient norm")
 
-    trackers = _StoppingTrackers(config)
-    samples: list[ObservableSample] = []
-    u = u0
+    nonlinear = not config.disable_nonlinearity
+    masked = nonlinear and g.dealias_fraction < 1.0
+    multiplicative = config.noise_type == "multiplicative"
+    additive = config.noise_type == "additive"
+    # The state is vals * exp(-i theta); theta is None when vals is the state.
+    # power = |vals|^(2 sigma), which the pending phase leaves unchanged.
+    vals = u0.values
+    theta = None
+    power = _power(vals, sigma) if nonlinear else None
     t = 0.0
     dt = config.dt0
     grad_ref = max(grad0, 1e-300)
     status = None
     step = 0
 
-    def record(state, time):
-        s = observe(state, time, m0, alpha, config.sigma)
-        samples.append(s)
-        trackers.update(s)
-        return s
+    def failed(time):
+        reason = "unresolved" if (config.adapt and dt <= config.adapt.dt_min) else "overflow"
+        return TerminalStatus("failed", time, reason)
 
-    record(u, 0.0)
     while t < config.T_end - 1e-12 * config.T_end:
         dt_step = min(dt, config.T_end - t)
         try:
-            u = step_deterministic(u, dt_step, config.sigma,
-                                   skip_nonlinear=config.disable_nonlinearity)
-            if config.noise_type == "multiplicative":
-                u = step_multiplicative(u, sampler.sample_real(dt_step, rng))
-            elif config.noise_type == "additive":
-                u = step_additive(u, sampler.sample_complex(dt_step, rng))
+            trailing = theta is not None
+            if nonlinear:  # the leading half step joins the pending phase
+                lead = (dt_step / 2.0) * power
+                theta = lead if theta is None else np.add(theta, lead, out=theta)
+            if theta is not None:
+                vals = _phase(vals, theta)
+                if trailing and not _finite(vals):  # the state at t was not finite
+                    status = failed(t)
+                    break
+            vals, _ = _linear(vals, g, dt_step, masked)
+            theta = None
+            if nonlinear:
+                power = _power(vals, sigma)
+                theta = (dt_step / 2.0) * power
+            if multiplicative:  # Stratonovich phase: commutes with the trailing half step
+                dW = sampler.sample_real(dt_step, rng)
+                theta = dW if theta is None else np.add(theta, dW, out=theta)
+            elif additive:
+                if theta is not None:
+                    vals = _phase(vals, theta)
+                    theta = None
+                vals = vals - 1j * sampler.sample_complex(dt_step, rng)
+                if nonlinear:
+                    power = _power(vals, sigma)
         except (FloatingPointError, ValueError):
             status = TerminalStatus("failed", t, "overflow")
             break
         t += dt_step
         step += 1
-        if not np.all(np.isfinite(u.values.view(np.float64))):
-            reason = "unresolved" if (config.adapt and dt <= config.adapt.dt_min) else "overflow"
-            status = TerminalStatus("failed", t, reason)
+        record_now = step % config.record_stride == 0 or t >= config.T_end - 1e-12
+        if record_now and theta is not None:
+            vals = _phase(vals, theta)
+            theta = None
+        if theta is None and not _finite(vals):
+            status = failed(t)
             break
-        if step % config.record_stride == 0 or t >= config.T_end - 1e-12:
+        if record_now:
+            u = FieldState(g, vals)
             s = record(u, t)
             if s.grad_sq >= config.grad_threshold**2:
                 status = TerminalStatus("blownup", t)
@@ -344,6 +420,8 @@ def run_trajectory(config: SimConfig, u0: FieldState, spec: CovarianceSpec | Non
                 if dt > config.adapt.dt_min:
                     dt = max(dt / 2.0, config.adapt.dt_min)
                 grad_ref = s.grad_sq
+    if status is None and theta is not None and not _finite(_phase(vals, theta)):
+        status = failed(t)  # a last step that was not recorded
     if status is None:
         status = TerminalStatus("survived", config.T_end)
     return TrajectoryRecord(samples=samples, status=status, hit_times=trackers.hits,

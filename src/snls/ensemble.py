@@ -21,7 +21,8 @@ from .dynamics import SimConfig, TrajectoryRecord, run_trajectory
 from .grid import GridSpec
 from .ground_state import GroundState
 from .initial_data import InitialData, build_initial_data
-from .noise_model import CovarianceSpec, make_rng
+from .noise_model import CovarianceSpec, NoiseSampler, make_rng
+from .observables import SAMPLE_KEYS, sample_values
 
 __all__ = [
     "EnsembleConfig",
@@ -132,13 +133,22 @@ class EnsembleSummary:
         }
 
 
-def _run_one(cfg: EnsembleConfig, index: int) -> TrajectoryRecord:
+def _run_one(cfg: EnsembleConfig, index: int, sampler: NoiseSampler | None) -> TrajectoryRecord:
     rng = make_rng(cfg.master_seed, index) if cfg.initial_data.is_random else None
     u0 = build_initial_data(cfg.initial_data, cfg.grid, cfg.ground_state, rng)
     rec = run_trajectory(cfg.trajectory, u0, cfg.covariance,
-                         seed=(cfg.master_seed, index))
+                         seed=(cfg.master_seed, index), sampler=sampler)
     rec.config_hash = cfg.config_hash
     return rec
+
+
+def _run_chunk(cfg: EnsembleConfig, indices) -> list:
+    """The trajectories of one chunk; they share one sampler, which depends only on
+    (covariance, grid) and whose scratch spectrum every draw rewrites."""
+    sampler = None
+    if cfg.trajectory.noise_type != "none" and cfg.covariance is not None:
+        sampler = NoiseSampler(cfg.covariance, cfg.grid)
+    return [_run_one(cfg, i, sampler) for i in indices]
 
 
 def _mean_paths(records):
@@ -146,11 +156,12 @@ def _mean_paths(records):
     if not done:
         return {}
     n_common = min(len(r.samples) for r in done)
-    t = np.array([s.t for s in done[0].samples[:n_common]])
+    # (trajectory, sample, observable), reading each sample once
+    cube = np.array([[sample_values(s) for s in r.samples[:n_common]] for r in done])
+    t = cube[0, :, 0].copy()
     out = {}
-    keys = [k for k in done[0].samples[0].to_dict() if k != "t"]
-    for key in keys:
-        stack = np.array([[s.to_dict()[key] for s in r.samples[:n_common]] for r in done])
+    for j, key in enumerate(SAMPLE_KEYS[1:], start=1):
+        stack = np.ascontiguousarray(cube[:, :, j])
         mean = stack.mean(axis=0)
         se = (stack.std(axis=0, ddof=1) / math.sqrt(len(done))
               if len(done) > 1 else np.zeros(n_common))
@@ -173,13 +184,15 @@ def persist_records(records, out_dir: str, compress: bool = False):
 def run_ensemble(cfg: EnsembleConfig, out_dir: str | None = None,
                  compress: bool = False) -> tuple:
     """Run all trajectories; returns (summary, records)."""
-    indices = list(range(cfg.n_traj))
+    indices = range(cfg.n_traj)
     if cfg.parallel_workers > 1 and cfg.n_traj > 1:
+        size = max(1, cfg.n_traj // (4 * cfg.parallel_workers))
+        chunks = [indices[i:i + size] for i in range(0, cfg.n_traj, size)]
         with ProcessPoolExecutor(max_workers=cfg.parallel_workers) as pool:
-            records = list(pool.map(_run_one, [cfg] * cfg.n_traj, indices,
-                                    chunksize=max(1, cfg.n_traj // (4 * cfg.parallel_workers))))
+            records = [rec for done in pool.map(_run_chunk, [cfg] * len(chunks), chunks)
+                       for rec in done]
     else:
-        records = [_run_one(cfg, i) for i in indices]
+        records = _run_chunk(cfg, indices)
 
     T = cfg.trajectory.T_end
     p_surv, ci_surv = estimate_survival(records, T * (1 - 1e-12))

@@ -3,7 +3,8 @@
 The domain is the centered torus [-L/2, L/2)^dim sampled on N uniform points
 per axis.  All quadratures are plain Riemann sums, which are spectrally
 accurate for smooth periodic data.  Spectral coefficients use the unnormalized
-numpy FFT; Parseval then reads  h^dim * sum|u|^2 == (h^dim / Ntot) * sum|uhat|^2.
+FFT (scipy.fft, one worker); Parseval then reads
+h^dim * sum|u|^2 == (h^dim / Ntot) * sum|uhat|^2.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.fft as sfft
 
 __all__ = [
     "GridSpec",
     "FieldState",
+    "fft_field",
+    "ifft_field",
     "quadrature_lp",
     "mass",
     "gradient_norm_sq",
@@ -150,6 +154,17 @@ class GridSpec:
             mask &= keep.reshape(shape)
         return mask
 
+
+def fft_field(values: np.ndarray) -> np.ndarray:
+    """Unnormalized forward FFT over every axis (the 1d call skips fftn's axis handling)."""
+    return sfft.fft(values) if values.ndim == 1 else sfft.fftn(values)
+
+
+def ifft_field(spectral: np.ndarray) -> np.ndarray:
+    """Inverse of fft_field."""
+    return sfft.ifft(spectral) if spectral.ndim == 1 else sfft.ifftn(spectral)
+
+
 class FieldState:
     """Complex field samples on a GridSpec plus a lazily cached spectrum.
 
@@ -170,7 +185,7 @@ class FieldState:
     @property
     def spectral(self):
         if self._spectral is None:
-            self._spectral = np.fft.fftn(self.values)
+            self._spectral = fft_field(self.values)
         return self._spectral
 
     @property
@@ -183,7 +198,7 @@ class FieldState:
     @classmethod
     def from_spectral(cls, grid: GridSpec, spectral) -> "FieldState":
         spectral = np.asarray(spectral, dtype=np.complex128)
-        return cls(grid, np.fft.ifftn(spectral), spectral.copy())
+        return cls(grid, ifft_field(spectral), spectral.copy())
 
     def copy(self) -> "FieldState":
         spec = None if self._spectral is None else self._spectral.copy()
@@ -213,6 +228,10 @@ def mass(state: FieldState) -> float:
 def gradient_norm_sq(state: FieldState) -> float:
     """||grad u||_{L^2}^2 via the spectral symbol |xi|^2."""
     _require_finite(state)
+    return _gradient_norm_sq(state)
+
+
+def _gradient_norm_sq(state: FieldState) -> float:
     g = state.grid
     uh2 = np.abs(state.spectral) ** 2
     return float(g.cell_volume / g.total_points * np.sum(g.laplacian_symbol * uh2))
@@ -221,8 +240,11 @@ def gradient_norm_sq(state: FieldState) -> float:
 def weighted_variance_quadrature(state: FieldState) -> float:
     """Variance V(u) = integral |x|^2 |u|^2 dx with x in [-L/2, L/2)."""
     _require_finite(state)
-    g = state.grid
-    return float(g.cell_volume * np.sum(g.radius_sq * np.abs(state.values) ** 2))
+    return _variance(state.grid, np.abs(state.values) ** 2)
+
+
+def _variance(grid: GridSpec, abs2: np.ndarray) -> float:
+    return float(grid.cell_volume * np.sum(grid.radius_sq * abs2))
 
 
 def apply_dealias(state: FieldState) -> FieldState:
@@ -263,11 +285,15 @@ def boundary_mass_fraction(state: FieldState, shell: float = 0.1) -> float:
     The outer region is where max_i |x_i| / (L_i/2) > 1 - shell.  Values that
     are not tiny mean the torus truncation of R^n is no longer trustworthy.
     """
-    outer = _outer_mask(state.grid, shell)
-    total = np.sum(np.abs(state.values) ** 2)
+    abs2 = np.abs(state.values) ** 2
+    return _boundary_fraction(state.grid, abs2, np.sum(abs2), shell)
+
+
+def _boundary_fraction(grid: GridSpec, abs2: np.ndarray, total: float,
+                       shell: float = 0.1) -> float:
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(state.values[outer]) ** 2) / total)
+    return float(np.sum(abs2[_outer_mask(grid, shell)]) / total)
 
 
 def spectral_tail_fraction(state: FieldState, inner: float = 0.75) -> float:

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import (
     FieldState,
-    boundary_mass_fraction,
-    gradient_norm_sq,
+    _boundary_fraction,
+    _gradient_norm_sq,
+    _require_finite,
+    _variance,
+    ifft_field,
     mass,
-    weighted_variance_quadrature,
 )
 from .ground_state import GroundState
 
-__all__ = ["ObservableSample", "observe", "momentum", "classify_dichotomy", "DichotomyReport"]
+__all__ = ["ObservableSample", "SAMPLE_KEYS", "sample_values", "observe", "momentum",
+           "classify_dichotomy", "DichotomyReport"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,10 @@ class ObservableSample:
         }
 
 
+SAMPLE_KEYS = tuple(f.name for f in fields(ObservableSample))  # the to_dict keys, in order
+sample_values = operator.attrgetter(*SAMPLE_KEYS)  # one sample -> tuple in SAMPLE_KEYS order
+
+
 def momentum(state: FieldState) -> float:
     """G(u) = Im int u (x . grad conj(u)) dx, derivatives taken spectrally."""
     g = state.grid
@@ -51,7 +59,7 @@ def momentum(state: FieldState) -> float:
         shape = [1] * g.dim
         shape[axis] = g.points[axis]
         xi = g.wavenumbers[axis].reshape(shape)
-        du = np.fft.ifftn(1j * xi * uh)
+        du = ifft_field(1j * xi * uh)
         acc += np.sum(g.coords[axis] * np.imag(state.values * np.conj(du)))
     return float(g.cell_volume * acc)
 
@@ -63,26 +71,27 @@ def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float,
     m0 is the frozen initial mass entering me_product = H * m0^alpha.  X uses
     mass_factor (default m0); the additive intercritical trackers pass the
     lambda^2 M(Q) surrogate instead.  Pass alpha = 0 in the mass-critical case,
-    which makes X the plain gradient norm.
+    which makes X the plain gradient norm.  One finiteness scan and one |u|^2
+    serve every scalar.
     """
-    if not np.all(np.isfinite(u.values.view(np.float64))):
-        raise ValueError("non-finite field")
+    _require_finite(u)
     g = u.grid
     h = g.cell_volume
     abs2 = np.abs(u.values) ** 2
-    m = float(h * np.sum(abs2))
+    total = np.sum(abs2)
+    m = float(h * total)
     p = 2.0 * sigma + 2.0
     lp2s2 = float(h * np.sum(abs2 ** (p / 2.0)))
-    grad_sq = gradient_norm_sq(u)
+    grad_sq = _gradient_norm_sq(u)
     energy = 0.5 * grad_sq - lp2s2 / p
     if mass_factor is None:
         mass_factor = m0
     X = math.sqrt(grad_sq) * mass_factor ** (alpha / 2.0)
     return ObservableSample(
         t=float(t), mass=m, energy=energy, grad_sq=grad_sq, lp2s2=lp2s2,
-        variance=weighted_variance_quadrature(u), momentum=momentum(u),
+        variance=_variance(g, abs2), momentum=momentum(u),
         X=X, me_product=energy * m0**alpha,
-        boundary_mass_fraction=boundary_mass_fraction(u),
+        boundary_mass_fraction=_boundary_fraction(g, abs2, total),
     )
 
 

@@ -195,4 +195,4 @@ def build_theory_report(cfg: ExperimentConfig, gs: GroundState | None = None,
     return TheoryReport(
         n=n, sigma=sigma, s_c=s_c, alpha=alpha, regime=regime,
         beta=beta, gamma=gamma, delta0=delta0,
-        notes=tuple(notes), config_hash=config_hash(cfg), **kw)
+        notes=tuple(notes), config_hash=config_hash(cfg), noise=nc, **kw)

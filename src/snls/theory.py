@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .noise_model import NoiseConstants
 
 __all__ = [
     "ConditionCheck",
@@ -341,6 +345,8 @@ class TheoryReport:
     blowup_additive: ConditionLedger | None = None
     notes: tuple = ()
     config_hash: str | None = None
+    # the NoiseConstants the bounds used, for callers' drift checks; not serialized
+    noise: NoiseConstants | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         def enc(v):

@@ -217,3 +217,26 @@ def test_verify_detects_fault_injection(monkeypatch, capsys):
     monkeypatch.setattr(verify_mod, "solve_ground_state", corrupted)
     failures = verify_mod.run_suite("quick", out=lambda s: None)
     assert failures >= 1
+
+
+def test_ensemble_compare_computes_noise_constants_once(capsys, monkeypatch):
+    import snls.cli
+    import snls.noise_model
+    import snls.report
+
+    original = snls.noise_model.noise_constants
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (snls.noise_model, snls.report, snls.cli):
+        if getattr(mod, "noise_constants", None) is original:
+            monkeypatch.setattr(mod, "noise_constants", counting)
+    code, out, _ = run_cli(capsys, "ensemble", "--preset", "add-mass-drift",
+                           "--n-traj", "20", "--workers", "1", "--compare")
+    assert code == 0
+    bounds = [v["bound"] for v in json.loads(out)["theory_comparison"]]
+    assert any("mass drift" in b for b in bounds)
+    assert len(calls) == 1

@@ -9,13 +9,14 @@ from snls.dynamics import (
     GroundStateRefs,
     SimConfig,
     StoppingThresholds,
+    TrajectoryRecord,
     run_trajectory,
     step_additive,
     step_deterministic,
     step_multiplicative,
 )
 from snls.initial_data import ground_state_field
-from snls.noise_model import CovarianceSpec
+from snls.noise_model import CovarianceSpec, NoiseSampler, make_rng
 from snls.observables import observe
 
 
@@ -264,3 +265,128 @@ def test_adaptive_dt_refines_on_growth(gs_1d_s2):
     assert rec.status.kind == "blownup"
     assert rec.dt_final < cfg.dt0
     assert rec.dt_final >= cfg.adapt.dt_min
+
+
+# ---------------------------------------------------------------- fused loop
+
+
+def _reference_run(cfg, u0, spec, seed):
+    """run_trajectory's contract, one public substep and one FieldState per step."""
+    sampler = NoiseSampler(spec, u0.grid) if spec is not None else None
+    rng = make_rng(*seed)
+    m0, alpha = mass(u0), cfg.alpha_or_zero
+    samples = [observe(u0, 0.0, m0, alpha, cfg.sigma)]
+    grad_ref = samples[0].grad_sq
+    u, t, dt, step = u0, 0.0, cfg.dt0, 0
+    while t < cfg.T_end - 1e-12 * cfg.T_end:
+        dt_step = min(dt, cfg.T_end - t)
+        u = step_deterministic(u, dt_step, cfg.sigma, skip_nonlinear=cfg.disable_nonlinearity)
+        if cfg.noise_type == "multiplicative":
+            u = step_multiplicative(u, sampler.sample_real(dt_step, rng))
+        elif cfg.noise_type == "additive":
+            u = step_additive(u, sampler.sample_complex(dt_step, rng))
+        t += dt_step
+        step += 1
+        if step % cfg.record_stride == 0 or t >= cfg.T_end - 1e-12:
+            s = observe(u, t, m0, alpha, cfg.sigma)
+            samples.append(s)
+            if cfg.adapt is not None and s.grad_sq > cfg.adapt.growth_factor * grad_ref:
+                dt = max(dt / 2.0, cfg.adapt.dt_min)
+                grad_ref = s.grad_sq
+    return samples, dt
+
+
+def _oracle_case(name, gs):
+    grid = GridSpec(1, 20.0, 256, dealias_fraction=2.0 / 3.0)
+    q = ground_state_field(gs, grid)
+    mult = CovarianceSpec("fourier_diagonal", {(0,): 0.2, (1,): 0.2, (3,): 0.1})
+    kw = dict(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3, T_end=0.06,
+              grad_threshold=1e3, record_stride=3, gs_refs=refs_of(gs))
+    u0 = q.with_values(0.9 * q.values)
+    if name == "clipped":
+        kw.update(T_end=0.0605, record_stride=4)
+    elif name == "adapt":
+        kw.update(noise_type="none", record_stride=1, T_end=0.04,
+                  adapt=AdaptSpec(growth_factor=1.01, dt_min=1e-4))
+        u0 = q.with_values(1.1 * q.values * np.exp(0.3j * grid.axes[0]))
+    elif name == "additive":
+        kw.update(noise_type="additive", record_stride=2)
+    elif name == "noise-only":
+        kw.update(disable_nonlinearity=True)
+    return SimConfig(**kw), u0, (None if kw["noise_type"] == "none" else mult)
+
+
+@pytest.mark.parametrize("name", ["stride", "clipped", "adapt", "additive", "noise-only"])
+def test_fused_loop_matches_public_substeps(gs_1d_s2, name):
+    cfg, u0, spec = _oracle_case(name, gs_1d_s2)
+    rec = run_trajectory(cfg, u0, spec, seed=(5, 2))
+    ref, dt_ref = _reference_run(cfg, u0, spec, (5, 2))
+    assert rec.status.kind == "survived"
+    assert len(rec.samples) == len(ref) > 5
+    assert rec.dt_final == dt_ref
+    if name == "adapt":
+        assert dt_ref < cfg.dt0
+    got = rec.sample_arrays()
+    for key, want in TrajectoryRecord(ref, rec.status, {}, None, dt_ref).sample_arrays().items():
+        # the boundary fraction is a share of the mass, ~1e-8 here: bulk rounding
+        # lands on it in units of the whole mass
+        scale = 1.0 if key == "boundary_mass_fraction" else np.max(np.abs(want))
+        assert np.max(np.abs(got[key] - want)) <= 1e-12 * scale, key
+
+
+def test_unrecorded_step_transforms(gs_1d_s2, monkeypatch):
+    import numpy.fft
+    import scipy.fft
+
+    calls = {"field": 0, "sampler": 0}
+
+    def counting(kind, fn):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (numpy.fft, scipy.fft):
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            monkeypatch.setattr(mod, name, counting("field", getattr(mod, name)))
+        for name in ("irfft", "irfftn"):
+            monkeypatch.setattr(mod, name, counting("sampler", getattr(mod, name)))
+    grid = GridSpec(1, 20.0, 256)
+    q = ground_state_field(gs_1d_s2, grid)
+    spec = CovarianceSpec("fourier_diagonal", {(1,): 0.2})
+    counts = []
+    for n_steps in (10, 20):
+        cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3,
+                        T_end=n_steps * 1e-3, grad_threshold=1e3, record_stride=1000,
+                        gs_refs=refs_of(gs_1d_s2))
+        calls.update(field=0, sampler=0)
+        rec = run_trajectory(cfg, q.with_values(q.values), spec, seed=(1, 0))  # no cached spectrum
+        assert len(rec.samples) == 2  # t = 0 and T_end only
+        counts.append(dict(calls))
+    assert counts[1]["field"] - counts[0]["field"] == 2 * 10
+    assert counts[1]["sampler"] - counts[0]["sampler"] == 10
+
+
+def test_sample_arrays_match_to_dict(gs_1d_s2):
+    grid = GridSpec(1, 20.0, 128)
+    q = ground_state_field(gs_1d_s2, grid)
+    cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=1e-3, T_end=0.02,
+                    grad_threshold=1e3, record_stride=2, gs_refs=refs_of(gs_1d_s2))
+    rec = run_trajectory(cfg, q, None, 0)
+    arrays = rec.sample_arrays()
+    assert list(arrays) == list(rec.samples[0].to_dict())
+    for key, col in arrays.items():
+        assert np.array_equal(col, np.array([s.to_dict()[key] for s in rec.samples]))
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_overflow_fails_on_the_step_it_happens(gs_1d_s2, stride):
+    # |u|^4 overflows on the first step; recorded or not, the path fails at t = dt
+    grid = GridSpec(1, 20.0, 128)
+    u0 = FieldState(grid, 1e80 * np.exp(-grid.radius_sq).astype(complex))
+    cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=1e-3, T_end=0.02,
+                    grad_threshold=1e100, record_stride=stride, gs_refs=refs_of(gs_1d_s2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run_trajectory(cfg, u0, None, 0)
+    assert (rec.status.kind, rec.status.reason, rec.status.time) == ("failed", "overflow", 1e-3)
+    assert len(rec.samples) == 1

@@ -232,3 +232,26 @@ def test_persisted_records(tmp_path, small_ensemble_cfg):
     terminal = json.loads(lines[-1])["terminal"]
     assert terminal["config_hash"] == "h3"
     assert terminal["status"]["kind"] == "survived"
+
+
+def test_one_sampler_per_chunk(small_ensemble_cfg, monkeypatch):
+    import snls.ensemble
+
+    built = []
+
+    class Counting(snls.ensemble.NoiseSampler):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(snls.ensemble, "NoiseSampler", Counting)
+    _, records = run_ensemble(small_ensemble_cfg)
+    assert len(built) == 1
+    monkeypatch.undo()
+    # a fresh sampler per trajectory gives the same records bit for bit
+    cfg = small_ensemble_cfg
+    for i, rec in enumerate(records):
+        u0 = build_initial_data(cfg.initial_data, cfg.grid, cfg.ground_state, None)
+        direct = run_trajectory(cfg.trajectory, u0, cfg.covariance, seed=(cfg.master_seed, i))
+        a, b = rec.sample_arrays(), direct.sample_arrays()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
