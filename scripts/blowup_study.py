@@ -8,8 +8,8 @@ statistics of the tracked stopping times.
 
 import argparse
 
-from snls.cli import materialize
-from snls.ensemble import EnsembleConfig, run_ensemble
+from snls.config import ensemble_config
+from snls.ensemble import run_ensemble
 from snls.presets import get_preset
 from snls.report import build_theory_report
 
@@ -30,11 +30,7 @@ def main():
         print(f"  {c.name}: lhs={c.lhs:.4g} {c.comparator} rhs={c.rhs:.4g}  "
               f"{'ok' if c.passed else 'FAIL'}")
 
-    grid, gs, sim, cov, init, chash = materialize(cfg)
-    ecfg = EnsembleConfig(n_traj=args.n_traj, master_seed=7004, trajectory=sim,
-                          grid=grid, initial_data=init, covariance=cov,
-                          ground_state=gs, parallel_workers=args.workers,
-                          config_hash=chash)
+    ecfg = ensemble_config(cfg, args.n_traj, master_seed=7004, workers=args.workers)
     summary, _ = run_ensemble(ecfg, out_dir=args.out)
     lo, hi = summary.blowup_interval
     print(f"blow-up fraction: {summary.blowup_fraction:.3f} "

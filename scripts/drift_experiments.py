@@ -8,30 +8,17 @@ checkpoint.
 
 import argparse
 
-from snls.cli import materialize
-from snls.ensemble import EnsembleConfig, energy_drift_check, mass_drift_check, run_ensemble
-from snls.grid import mass as grid_mass
-from snls.initial_data import build_initial_data
+from snls.config import ensemble_config
+from snls.ensemble import drift_check, run_ensemble
 from snls.noise_model import noise_constants
-from snls.observables import observe
 from snls.presets import get_preset
 
 
 def run(preset, n_traj, workers):
-    cfg = get_preset(preset)
-    grid, gs, sim, cov, init, chash = materialize(cfg)
-    nc = noise_constants(cov, grid, sim.sigma)
-    ecfg = EnsembleConfig(n_traj=n_traj, master_seed=int(cfg.ensemble["master_seed"]),
-                          trajectory=sim, grid=grid, initial_data=init,
-                          covariance=cov, ground_state=gs,
-                          parallel_workers=workers, config_hash=chash)
+    ecfg = ensemble_config(get_preset(preset), n_traj, workers=workers)
     summary, _ = run_ensemble(ecfg)
-    u0 = build_initial_data(init, grid, gs, None)
-    if preset == "add-mass-drift":
-        chk = mass_drift_check(summary, grid_mass(u0), nc.hs00)
-    else:
-        h0 = observe(u0, 0.0, grid_mass(u0), 0.0, sim.sigma).energy
-        chk = energy_drift_check(summary, h0, float(nc.f1_phi.flat[0]))
+    chk = drift_check(summary, ecfg,
+                      noise_constants(ecfg.covariance, ecfg.grid, ecfg.trajectory.sigma))
     print(f"{preset} (n_traj={n_traj}):")
     for t, z in zip(chk["times"], chk["z_scores"]):
         print(f"  t={t:.3f}  z={z:+.2f}")

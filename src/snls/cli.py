@@ -15,14 +15,9 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash, load_config
-from .dynamics import GroundStateRefs, run_trajectory
-from .ensemble import (
-    EnsembleConfig,
-    compare_with_theory,
-    mass_drift_check,
-    run_ensemble,
-)
+from .config import ExperimentConfig, ensemble_config, load_config, materialize
+from .dynamics import run_trajectory
+from .ensemble import compare_with_theory, drift_check, run_ensemble
 from .ground_state import GroundStateError, energy_three_ways, solve_ground_state
 from .initial_data import build_initial_data
 from .noise_model import make_rng
@@ -60,17 +55,6 @@ def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     raise ValueError("pass either --preset NAME or --config FILE")
-
-
-def materialize(cfg: ExperimentConfig):
-    """Build (grid, gs, sim_config, covariance, initial_data, hash) from a config."""
-    grid = cfg.build_grid()
-    n, sigma = int(cfg.physics["n"]), float(cfg.physics["sigma"])
-    gs = solve_ground_state(n, sigma)
-    sim = cfg.build_sim_config(GroundStateRefs.from_ground_state(gs))
-    cov = cfg.build_covariance()
-    init = cfg.build_initial_data()
-    return grid, gs, sim, cov, init, config_hash(cfg)
 
 
 def cmd_ground_state(args):
@@ -129,26 +113,16 @@ def cmd_simulate(args):
 
 def cmd_ensemble(args):
     cfg = _resolve_config(args)
-    grid, gs, sim, cov, init, chash = materialize(cfg)
-    e = cfg.ensemble
     workers = args.workers or int(os.environ.get("SNLS_WORKERS", "1"))
-    ecfg = EnsembleConfig(
-        n_traj=args.n_traj or int(e.get("n_traj", 100)),
-        master_seed=args.seed if args.seed is not None else int(e.get("master_seed", 0)),
-        trajectory=sim, grid=grid, initial_data=init, covariance=cov,
-        ground_state=gs, parallel_workers=workers, config_hash=chash,
-    )
+    ecfg = ensemble_config(cfg, args.n_traj, args.seed, workers)
     summary, _ = run_ensemble(ecfg, out_dir=args.out,
                               compress=bool(cfg.output.get("gzip", False)))
     if args.compare:
-        rep = build_theory_report(cfg, gs=gs)
+        rep = build_theory_report(cfg, gs=ecfg.ground_state)
         drift = []
-        if sim.noise_type == "additive" and cov is not None and "mass" in summary.mean_paths:
-            u0 = build_initial_data(init, grid, gs,
-                                    make_rng(ecfg.master_seed, 0) if init.is_random else None)
-            from .grid import mass as grid_mass
-
-            drift.append(mass_drift_check(summary, grid_mass(u0), rep.noise.hs00))
+        if (ecfg.trajectory.noise_type == "additive" and ecfg.covariance is not None
+                and "mass" in summary.mean_paths):
+            drift.append(drift_check(summary, ecfg, rep.noise))
         summary.theory_comparison = compare_with_theory(summary, rep, drift_checks=drift)
         if any(v.get("verdict") == "violated" for v in summary.theory_comparison):
             _json_out(summary.to_dict())

@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import AdaptSpec, GroundStateRefs, SimConfig, StoppingThresholds
+from .ensemble import EnsembleConfig
 from .grid import GridSpec
+from .ground_state import solve_ground_state
 from .initial_data import InitialData
 from .noise_model import CovarianceSpec, gaussian_spectrum_amplitudes
 
-__all__ = ["ExperimentConfig", "config_hash", "load_config", "dump_config"]
+__all__ = ["ExperimentConfig", "config_hash", "materialize", "ensemble_config",
+           "load_config", "dump_config"]
 
 SCHEMA_VERSION = 1
 
@@ -157,6 +160,34 @@ def _build_kernel(grid: GridSpec, c: dict) -> np.ndarray:
 def config_hash(cfg: ExperimentConfig) -> str:
     canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def materialize(cfg: ExperimentConfig):
+    """Build (grid, gs, sim_config, covariance, initial_data, hash) from a config."""
+    grid = cfg.build_grid()
+    n, sigma = int(cfg.physics["n"]), float(cfg.physics["sigma"])
+    gs = solve_ground_state(n, sigma)
+    sim = cfg.build_sim_config(GroundStateRefs.from_ground_state(gs))
+    cov = cfg.build_covariance()
+    init = cfg.build_initial_data()
+    return grid, gs, sim, cov, init, config_hash(cfg)
+
+
+def ensemble_config(cfg: ExperimentConfig, n_traj: int | None = None,
+                    master_seed: int | None = None, workers: int = 1) -> EnsembleConfig:
+    """The runnable ensemble of a config.
+
+    n_traj and master_seed default to the config's `ensemble` section, and
+    then to 100 trajectories and seed 0.
+    """
+    grid, gs, sim, cov, init, chash = materialize(cfg)
+    e = cfg.ensemble
+    return EnsembleConfig(
+        n_traj=n_traj or int(e.get("n_traj", 100)),
+        master_seed=master_seed if master_seed is not None else int(e.get("master_seed", 0)),
+        trajectory=sim, grid=grid, initial_data=init, covariance=cov,
+        ground_state=gs, parallel_workers=workers, config_hash=chash,
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:

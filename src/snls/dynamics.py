@@ -76,9 +76,6 @@ class AdaptSpec:
     growth_factor: float = 2.0
     dt_min: float = 1e-6
 
-    def to_dict(self):
-        return {"growth_factor": self.growth_factor, "dt_min": self.dt_min}
-
 
 @dataclass(frozen=True)
 class StoppingThresholds:
@@ -90,13 +87,6 @@ class StoppingThresholds:
     gamma: float | None = None
     A_energy: float | None = None
     lam: float | None = None
-
-    def to_dict(self):
-        return {
-            "delta_energy": self.delta_energy, "delta_mass": self.delta_mass,
-            "delta_gradient": self.delta_gradient, "gamma": self.gamma,
-            "A_energy": self.A_energy, "lam": self.lam,
-        }
 
 
 @dataclass(frozen=True)
@@ -113,10 +103,6 @@ class GroundStateRefs:
     def from_ground_state(cls, gs: GroundState):
         return cls(mass=gs.mass, energy=gs.energy, grad_sq=gs.grad_sq,
                    alpha=gs.alpha, x_star=gs.x_star)
-
-    def to_dict(self):
-        return {"mass": self.mass, "energy": self.energy, "grad_sq": self.grad_sq,
-                "alpha": self.alpha, "x_star": self.x_star}
 
 
 _CRIT_SIGMA = {1: 2.0, 2: 1.0, 3: 2.0 / 3.0, 4: 0.5}
@@ -244,7 +230,7 @@ def _linear(values: np.ndarray, grid: GridSpec, dt: float, masked: bool):
 
 
 def step_deterministic(u: FieldState, dt: float, sigma: float,
-                       dealias: bool = True, skip_nonlinear: bool = False) -> FieldState:
+                       skip_nonlinear: bool = False) -> FieldState:
     """One Strang step of the deterministic flow (see module docstring)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -252,7 +238,7 @@ def step_deterministic(u: FieldState, dt: float, sigma: float,
     if skip_nonlinear:
         return FieldState(g, *_linear(u.values, g, dt, masked=False))
     vals = _phase(u.values, (dt / 2.0) * _power(u.values, sigma))
-    vals, _ = _linear(vals, g, dt, masked=dealias and g.dealias_fraction < 1.0)
+    vals, _ = _linear(vals, g, dt, masked=g.dealias_fraction < 1.0)
     return FieldState(g, _phase(vals, (dt / 2.0) * _power(vals, sigma)))
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SimConfig, TrajectoryRecord, run_trajectory
-from .grid import GridSpec
+from .grid import GridSpec, mass
 from .ground_state import GroundState
 from .initial_data import InitialData, build_initial_data
-from .noise_model import CovarianceSpec, NoiseSampler, make_rng
-from .observables import SAMPLE_KEYS, sample_values
+from .noise_model import CovarianceSpec, NoiseConstants, NoiseSampler, make_rng
+from .observables import SAMPLE_KEYS, observe, sample_values
 
 __all__ = [
     "EnsembleConfig",
@@ -34,6 +34,7 @@ __all__ = [
     "compare_with_theory",
     "mass_drift_check",
     "energy_drift_check",
+    "drift_check",
     "persist_records",
 ]
 
@@ -328,3 +329,21 @@ def energy_drift_check(summary: EnsembleSummary, h0: float, f1_const: float,
             "theoretical": float(h0 + corr[idx[-1]]),
             "empirical": float(mean_h[idx[-1]]),
             "times": [float(t[i]) for i in idx]}
+
+
+def drift_check(summary: EnsembleSummary, cfg: EnsembleConfig, nc: NoiseConstants) -> dict:
+    """The drift law of the ensemble's noise type, checked on its mean paths.
+
+    u0 is trajectory 0's initial state.  Additive noise checks the mass law
+    with hs00; multiplicative noise checks the energy law with f1_phi, which
+    is spatially constant for diagonal covariances.
+    """
+    rng = make_rng(cfg.master_seed, 0) if cfg.initial_data.is_random else None
+    u0 = build_initial_data(cfg.initial_data, cfg.grid, cfg.ground_state, rng)
+    noise_type = cfg.trajectory.noise_type
+    if noise_type == "additive":
+        return mass_drift_check(summary, mass(u0), nc.hs00)
+    if noise_type == "multiplicative":
+        h0 = observe(u0, 0.0, mass(u0), 0.0, cfg.trajectory.sigma).energy
+        return energy_drift_check(summary, h0, float(nc.f1_phi.flat[0]))
+    raise ValueError(f"no drift law for noise_type {noise_type!r}")

@@ -133,12 +133,8 @@ class GridSpec:
         return k2
 
     @cached_property
-    def nyquist(self):
-        return tuple(np.pi * N / L for N, L in zip(self.points, self.extent))
-
-    @cached_property
     def dealias_mask(self):
-        """Boolean keep-mask: True where every |xi_i| <= fraction * nyquist_i.
+        """Boolean keep-mask: True where every |xi_i| <= fraction * pi N_i / L_i.
 
         Comparison is done on integer mode numbers (|k| <= fraction * N/2 with
         a tiny tolerance) so the retained band is exactly reproducible.  For
@@ -200,10 +196,6 @@ class FieldState:
         spectral = np.asarray(spectral, dtype=np.complex128)
         return cls(grid, ifft_field(spectral), spectral.copy())
 
-    def copy(self) -> "FieldState":
-        spec = None if self._spectral is None else self._spectral.copy()
-        return FieldState(self.grid, self.values.copy(), spec)
-
 
 def _require_finite(state: FieldState):
     if not np.all(np.isfinite(state.values.view(np.float64))):
@@ -227,23 +219,13 @@ def mass(state: FieldState) -> float:
 
 def gradient_norm_sq(state: FieldState) -> float:
     """||grad u||_{L^2}^2 via the spectral symbol |xi|^2."""
-    _require_finite(state)
-    return _gradient_norm_sq(state)
-
-
-def _gradient_norm_sq(state: FieldState) -> float:
     g = state.grid
     uh2 = np.abs(state.spectral) ** 2
     return float(g.cell_volume / g.total_points * np.sum(g.laplacian_symbol * uh2))
 
 
-def weighted_variance_quadrature(state: FieldState) -> float:
-    """Variance V(u) = integral |x|^2 |u|^2 dx with x in [-L/2, L/2)."""
-    _require_finite(state)
-    return _variance(state.grid, np.abs(state.values) ** 2)
-
-
-def _variance(grid: GridSpec, abs2: np.ndarray) -> float:
+def weighted_variance_quadrature(grid: GridSpec, abs2: np.ndarray) -> float:
+    """Variance V(u) = integral |x|^2 |u|^2 dx with x in [-L/2, L/2), from abs2 = |u|^2."""
     return float(grid.cell_volume * np.sum(grid.radius_sq * abs2))
 
 
@@ -279,18 +261,14 @@ def _tail_mask(grid: GridSpec, inner: float) -> np.ndarray:
     return tail
 
 
-def boundary_mass_fraction(state: FieldState, shell: float = 0.1) -> float:
+def boundary_mass_fraction(grid: GridSpec, abs2: np.ndarray, total: float,
+                           shell: float = 0.1) -> float:
     """Mass fraction in the outer `shell` of the box (torus health diagnostic).
 
-    The outer region is where max_i |x_i| / (L_i/2) > 1 - shell.  Values that
-    are not tiny mean the torus truncation of R^n is no longer trustworthy.
+    abs2 is |u|^2 and total its sum.  The outer region is where
+    max_i |x_i| / (L_i/2) > 1 - shell.  Values that are not tiny mean the
+    torus truncation of R^n is no longer trustworthy.
     """
-    abs2 = np.abs(state.values) ** 2
-    return _boundary_fraction(state.grid, abs2, np.sum(abs2), shell)
-
-
-def _boundary_fraction(grid: GridSpec, abs2: np.ndarray, total: float,
-                       shell: float = 0.1) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(abs2[_outer_mask(grid, shell)]) / total)

@@ -39,9 +39,6 @@ class InitialData:
     family: str
     params: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"family": self.family, "params": dict(self.params)}
-
     @classmethod
     def from_dict(cls, d):
         return cls(family=d["family"], params=dict(d.get("params", {})))

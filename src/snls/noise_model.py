@@ -193,7 +193,7 @@ class NoiseSampler:
     def __init__(self, spec: CovarianceSpec, grid: GridSpec):
         self.spec = spec
         self.grid = grid
-        self._modes, self._lam = modes, lam = _mode_table(spec, grid)
+        modes, lam = _mode_table(spec, grid)
         per_pair = np.where(modes.any(axis=1), 2, 1)
         pair = np.repeat(np.arange(len(lam)), per_pair)
         is_sin = np.arange(pair.size) - (np.cumsum(per_pair) - per_pair)[pair]
@@ -240,9 +240,6 @@ class NoiseSampler:
         re = self.sample_real(dt, rng) / np.sqrt(2.0)
         im = self.sample_real(dt, rng) / np.sqrt(2.0)
         return re + 1j * im
-
-    def constants(self, sigma: float) -> NoiseConstants:
-        return _constants(self._modes, self._lam, self.grid, sigma)
 
 
 def noise_constants(spec: CovarianceSpec, grid: GridSpec, sigma: float) -> NoiseConstants:

@@ -10,12 +10,12 @@ import numpy as np
 
 from .grid import (
     FieldState,
-    _boundary_fraction,
-    _gradient_norm_sq,
     _require_finite,
-    _variance,
+    boundary_mass_fraction,
+    gradient_norm_sq,
     ifft_field,
     mass,
+    weighted_variance_quadrature,
 )
 from .ground_state import GroundState
 
@@ -82,16 +82,16 @@ def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float,
     m = float(h * total)
     p = 2.0 * sigma + 2.0
     lp2s2 = float(h * np.sum(abs2 ** (p / 2.0)))
-    grad_sq = _gradient_norm_sq(u)
+    grad_sq = gradient_norm_sq(u)
     energy = 0.5 * grad_sq - lp2s2 / p
     if mass_factor is None:
         mass_factor = m0
     X = math.sqrt(grad_sq) * mass_factor ** (alpha / 2.0)
     return ObservableSample(
         t=float(t), mass=m, energy=energy, grad_sq=grad_sq, lp2s2=lp2s2,
-        variance=_variance(g, abs2), momentum=momentum(u),
+        variance=weighted_variance_quadrature(g, abs2), momentum=momentum(u),
         X=X, me_product=energy * m0**alpha,
-        boundary_mass_fraction=_boundary_fraction(g, abs2, total),
+        boundary_mass_fraction=boundary_mass_fraction(g, abs2, total),
     )
 
 

@@ -3,7 +3,10 @@
 Each check returns (name, passed, detail).  `quick` covers the structural
 identities (Pokhozhaev, Parseval, Gagliardo-Nirenberg sharpness, mass
 conservation, virial rates, theory monotonicity); `statistical` adds seeded
-Monte Carlo checks of the noise sampler and the drift identities.
+Monte Carlo checks of the noise sampler and the drift identities.  The
+functions that return numbers (random_smooth_field, ground_state_residuals,
+gn_sharpness, virial_errors) are shared with the acceptance tests, which
+apply their own inputs and tolerances.
 """
 
 from __future__ import annotations
@@ -12,37 +15,94 @@ import math
 
 import numpy as np
 
-from .dynamics import GroundStateRefs, SimConfig, run_trajectory, step_deterministic
-from .grid import FieldState, GridSpec, apply_dealias, mass
+from .config import ensemble_config
+from .dynamics import (
+    GroundStateRefs,
+    SimConfig,
+    _propagator,
+    run_trajectory,
+    step_deterministic,
+    step_multiplicative,
+)
+from .ensemble import EnsembleConfig, drift_check, run_ensemble
+from .grid import FieldState, GridSpec, mass
 from .ground_state import energy_three_ways, solve_ground_state
-from .initial_data import ground_state_field
+from .initial_data import InitialData, ground_state_field
 from .noise_model import CovarianceSpec, NoiseSampler, make_rng, noise_constants
 from .observables import observe
+from .presets import get_preset
 from .theory import t_star_additive_critical, t_star_multiplicative
 
-__all__ = ["run_suite", "SUITES"]
+__all__ = ["run_suite", "SUITES", "random_smooth_field", "ground_state_residuals",
+           "gn_sharpness", "virial_errors"]
 
 
-def _random_smooth_field(grid, rng, n_modes=6):
+def random_smooth_field(grid, rng):
+    """Five random Fourier modes with |k_i| <= 5 under a Gaussian envelope of width 3."""
     vals = np.zeros(grid.shape, dtype=complex)
-    for _ in range(n_modes):
-        k = rng.integers(-4, 5, size=grid.dim)
+    for _ in range(5):
+        k = rng.integers(-5, 6, size=grid.dim)
         amp = rng.normal() + 1j * rng.normal()
         phase = np.zeros(grid.shape)
         for ki, x, L in zip(k, grid.coords, grid.extent):
             phase = phase + 2 * np.pi * ki / L * x
-        vals += amp * np.exp(1j * phase) * np.exp(-grid.radius_sq / 8.0)
+        vals += amp * np.exp(1j * phase)
+    vals *= np.exp(-grid.radius_sq / (2 * 3.0**2))
     return FieldState(grid, vals)
 
 
+def ground_state_residuals(gs):
+    """(r1, r2, spread): the two Pokhozhaev residuals and the relative spread of
+    the three energy formulas."""
+    r1, r2 = gs.pokhozhaev_residuals()
+    h_def, h_mass, h_grad = energy_three_ways(gs)
+    spread = max(abs(h_def - h_mass), abs(h_def - h_grad)) / max(abs(h_def), gs.mass)
+    return r1, r2, spread
+
+
+def gn_sharpness(rng):
+    """Sharp Gagliardo-Nirenberg inequality in 1d at sigma = 2.
+
+    Returns (relative equality error at Q, number of 20 random fields on which
+    ||u||_6^6 < C_GN ||grad u||^2 M(u)^2 holds strictly).
+    """
+    gs = solve_ground_state(1, 2.0)
+    grid = GridSpec(1, 40.0, 512, dealias_fraction=1.0)
+    q = ground_state_field(gs, grid)
+    s = observe(q, 0.0, mass(q), 0.0, 2.0)
+    rhs = gs.C_GN * s.grad_sq * s.mass**2
+    eq_err = abs(s.lp2s2 - rhs) / rhs
+    strict = 0
+    for _ in range(20):
+        u = random_smooth_field(grid, rng)
+        su = observe(u, 0.0, mass(u), 0.0, 2.0)
+        strict += su.lp2s2 < gs.C_GN * su.grad_sq * su.mass**2
+    return eq_err, strict
+
+
+def virial_errors(dt):
+    """(err_v, err_g): relative errors of V' = 4G and G' = 2 n sigma H - 2 sigma s_c
+    ||grad u||^2, by centered differences, on the collapse of 1.02 Q (1d, sigma = 3)."""
+    gs = solve_ground_state(1, 3.0)
+    grid = GridSpec(1, 30.0, 512)
+    q = ground_state_field(gs, grid)
+    u0 = q.with_values(1.02 * q.values)
+    cfg = SimConfig(n=1, sigma=3.0, noise_type="none", dt0=dt, T_end=0.3,
+                    grad_threshold=50.0, record_stride=1,
+                    gs_refs=GroundStateRefs.from_ground_state(gs))
+    arr = run_trajectory(cfg, u0, None, 0).sample_arrays()
+    t, V, G, H, gsq = arr["t"], arr["variance"], arr["momentum"], arr["energy"], arr["grad_sq"]
+    dV = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
+    err_v = np.max(np.abs(dV - 4 * G[1:-1])) / np.max(np.abs(4 * G[1:-1]))
+    dG = (G[2:] - G[:-2]) / (t[2:] - t[:-2])
+    rate = 2 * 3.0 * H - 2 * 3.0 * gs.s_c * gsq
+    err_g = np.max(np.abs(dG - rate[1:-1])) / np.max(np.abs(rate))
+    return err_v, err_g
+
+
 def check_pokhozhaev(pairs=((1, 2.0), (1, 3.0))):
-    worst = 0.0
-    for n, sigma in pairs:
-        gs = solve_ground_state(n, sigma)
-        r1, r2 = gs.pokhozhaev_residuals()
-        h = energy_three_ways(gs)
-        spread = max(abs(h[0] - h[1]), abs(h[0] - h[2])) / max(abs(h[0]), gs.mass)
-        worst = max(worst, r1, r2, spread)
+    worst = max(max(ground_state_residuals(solve_ground_state(n, sigma)))
+                for n, sigma in pairs)
     return worst < 1e-8, f"max residual {worst:.2e}"
 
 
@@ -51,7 +111,7 @@ def check_parseval(seed=0):
     grid = GridSpec(1, 25.0, 128)
     worst = 0.0
     for _ in range(10):
-        u = _random_smooth_field(grid, rng)
+        u = random_smooth_field(grid, rng)
         m = mass(u)
         spec_m = grid.cell_volume / grid.total_points * np.sum(np.abs(u.spectral) ** 2)
         roundtrip = np.max(np.abs(np.fft.ifftn(u.spectral) - u.values))
@@ -60,31 +120,19 @@ def check_parseval(seed=0):
 
 
 def check_gn_sharpness(seed=3):
-    gs = solve_ground_state(1, 2.0)
-    grid = GridSpec(1, 40.0, 512, dealias_fraction=1.0)
-    q = ground_state_field(gs, grid)
-    s = observe(q, 0.0, mass(q), 0.0, 2.0)
-    rhs = gs.C_GN * s.grad_sq ** (1.0 * 2.0 / 2.0) * s.mass ** ((2.0 + 2.0) / 2.0)
-    eq_err = abs(s.lp2s2 - rhs) / rhs
-    rng = make_rng(seed, 2)
-    strict = True
-    for _ in range(20):
-        u = _random_smooth_field(grid, rng)
-        su = observe(u, 0.0, mass(u), 0.0, 2.0)
-        bound = gs.C_GN * su.grad_sq * su.mass**2
-        strict &= su.lp2s2 < bound * (1 + 1e-12)
-    return eq_err < 1e-6 and strict, f"equality error at Q {eq_err:.2e}, strict on 20 fields {strict}"
+    eq_err, strict = gn_sharpness(make_rng(seed, 2))
+    return eq_err < 1e-6 and strict == 20, \
+        f"equality error at Q {eq_err:.2e}, strict on {strict}/20 fields"
 
 
-def check_dealias(seed=4):
+def check_dealias():
+    """The mask the integrator applies: the masked propagator at N = 512, fraction 2/3."""
     grid = GridSpec(1, 10.0, 512)
-    rng = make_rng(seed, 3)
-    u = FieldState(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-    once = apply_dealias(u)
-    twice = apply_dealias(once)
-    idem = np.max(np.abs(once.values - twice.values))
-    kept = int(np.sum(np.abs(once.spectral) > 1e-14))
-    return idem < 1e-14 and kept == 341, f"idempotence {idem:.1e}, retained modes {kept} (expect 341)"
+    masked = _propagator(grid, 1e-3, True)
+    kept = np.flatnonzero(masked)
+    same = bool(np.array_equal(masked[kept], _propagator(grid, 1e-3, False)[kept]))
+    return kept.size == 341 and same, (f"propagator nonzero on {kept.size} modes (expect 341), "
+                                       f"equal to the unmasked one there: {same}")
 
 
 def check_mass_conservation(seed=5, n_steps=2000):
@@ -96,8 +144,6 @@ def check_mass_conservation(seed=5, n_steps=2000):
     sampler = NoiseSampler(spec, grid)
     rng = make_rng(seed, 4)
     m0 = mass(u)
-    from .dynamics import step_multiplicative
-
     dt = 1e-4
     for _ in range(n_steps):
         u = step_deterministic(u, dt, 2.0)
@@ -107,22 +153,7 @@ def check_mass_conservation(seed=5, n_steps=2000):
 
 
 def check_virial(seed=None):
-    gs = solve_ground_state(1, 3.0)
-    grid = GridSpec(1, 30.0, 512)
-    q = ground_state_field(gs, grid)
-    u0 = q.with_values(1.02 * q.values)
-    refs = GroundStateRefs.from_ground_state(gs)
-    cfg = SimConfig(n=1, sigma=3.0, noise_type="none", dt0=5e-4, T_end=0.3,
-                    grad_threshold=50.0, record_stride=1, gs_refs=refs)
-    rec = run_trajectory(cfg, u0, None, 0)
-    arr = rec.sample_arrays()
-    t, V, G = arr["t"], arr["variance"], arr["momentum"]
-    H, gsq = arr["energy"], arr["grad_sq"]
-    dVdt = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
-    err_v = np.max(np.abs(dVdt - 4 * G[1:-1])) / np.max(np.abs(4 * G[1:-1]))
-    dGdt = (G[2:] - G[:-2]) / (t[2:] - t[:-2])
-    rate = 2 * 1 * 3.0 * H - 2 * 3.0 * gs.s_c * gsq
-    err_g = np.max(np.abs(dGdt - rate[1:-1])) / np.max(np.abs(rate))
+    err_v, err_g = virial_errors(5e-4)
     ok = err_v < 1e-3 and err_g < 1e-3
     return ok, f"V'=4G error {err_v:.2e}, G' rate error {err_g:.2e}"
 
@@ -169,42 +200,24 @@ def check_noise_sampler(seed):
 
 
 def check_additive_drift(seed):
-    from .ensemble import EnsembleConfig, mass_drift_check, run_ensemble
-    from .initial_data import InitialData
-
+    # its own two-mode covariance: the add-mass-drift preset adds mode 2
     grid = GridSpec(1, 20.0, 64)
     spec = CovarianceSpec("fourier_diagonal", {(0,): 0.1, (1,): 0.1})
-    nc = noise_constants(spec, grid, 2.0)
     cfg_t = SimConfig(n=1, sigma=2.0, noise_type="additive", dt0=0.01, T_end=0.5,
                       grad_threshold=50.0, record_stride=5)
     ecfg = EnsembleConfig(n_traj=300, master_seed=seed, trajectory=cfg_t, grid=grid,
                           initial_data=InitialData("zero"), covariance=spec,
                           config_hash="verify")
     summary, _ = run_ensemble(ecfg)
-    chk = mass_drift_check(summary, 0.0, nc.hs00)
+    chk = drift_check(summary, ecfg, noise_constants(spec, grid, 2.0))
     return chk["z_max"] <= 3.0, f"max |z| = {chk['z_max']:.2f} at 5 checkpoints"
 
 
 def check_stratonovich_drift(seed):
-    from .ensemble import EnsembleConfig, energy_drift_check, run_ensemble
-    from .initial_data import InitialData
-
-    gs = solve_ground_state(1, 2.0)
-    grid = GridSpec(1, 20.0, 128)
-    spec = CovarianceSpec("fourier_diagonal", {(1,): 0.3, (2,): 0.15})
-    nc = noise_constants(spec, grid, 2.0)
-    q = ground_state_field(gs, grid)
-    u0 = q.with_values(np.sqrt(0.8) * q.values)
-    h0 = observe(u0, 0.0, mass(u0), 0.0, 2.0).energy
-    cfg_t = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=2e-3, T_end=0.5,
-                      grad_threshold=50.0, record_stride=10,
-                      gs_refs=GroundStateRefs.from_ground_state(gs))
-    ecfg = EnsembleConfig(n_traj=300, master_seed=seed, trajectory=cfg_t, grid=grid,
-                          initial_data=InitialData("scaled_ground_state",
-                                                   {"mass_fraction": 0.8}),
-                          covariance=spec, ground_state=gs, config_hash="verify")
+    ecfg = ensemble_config(get_preset("mult-energy-drift"), n_traj=300, master_seed=seed)
     summary, _ = run_ensemble(ecfg)
-    chk = energy_drift_check(summary, h0, float(nc.f1_phi.flat[0]))
+    nc = noise_constants(ecfg.covariance, ecfg.grid, ecfg.trajectory.sigma)
+    chk = drift_check(summary, ecfg, nc)
     return chk["z_max"] <= 3.0, f"max |z| = {chk['z_max']:.2f} at 3 checkpoints"
 
 

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from snls.grid import FieldState, GridSpec
+from snls.grid import GridSpec
 from snls.ground_state import solve_ground_state
 from snls.initial_data import ground_state_field
 
@@ -35,16 +34,3 @@ def grid_1d():
 def q_field(gs_1d_s2, grid_1d):
     return ground_state_field(gs_1d_s2, grid_1d)
 
-
-def random_smooth_field(grid, rng, n_modes=5, envelope_width=3.0):
-    """Band-limited random field with a localizing envelope (shared helper)."""
-    vals = np.zeros(grid.shape, dtype=complex)
-    for _ in range(n_modes):
-        k = rng.integers(-5, 6, size=grid.dim)
-        amp = rng.normal() + 1j * rng.normal()
-        phase = np.zeros(grid.shape)
-        for ki, x, L in zip(k, grid.coords, grid.extent):
-            phase = phase + 2 * np.pi * ki / L * x
-        vals += amp * np.exp(1j * phase)
-    vals *= np.exp(-grid.radius_sq / (2 * envelope_width**2))
-    return FieldState(grid, vals)

@@ -7,28 +7,23 @@ lines.  Tolerances are pinned here and nowhere else.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from snls.cli import materialize
-from snls.dynamics import GroundStateRefs, SimConfig, run_trajectory
-from snls.ensemble import (
-    EnsembleConfig,
-    compare_with_theory,
-    energy_drift_check,
-    mass_drift_check,
-    run_ensemble,
-)
-from snls.grid import GridSpec, mass
-from snls.ground_state import energy_three_ways, solve_ground_state
-from snls.initial_data import build_initial_data, ground_state_field
+from snls.config import ensemble_config, materialize
+from snls.dynamics import SimConfig, run_trajectory
+from snls.ensemble import compare_with_theory, drift_check, run_ensemble
+from snls.grid import mass
+from snls.ground_state import solve_ground_state
+from snls.initial_data import build_initial_data
 from snls.noise_model import noise_constants
 from snls.observables import observe
 from snls.presets import get_preset
 from snls.report import build_theory_report
 from snls.theory import t_star_additive_critical, t_star_multiplicative
-from conftest import random_smooth_field
+from snls.verify import ground_state_residuals, gn_sharpness, virial_errors
 
 WORKERS = 2
 
@@ -45,11 +40,7 @@ def _line(num, ok, detail):
                                          (2, 1.0, 1e-6), (3, 1.0, 1e-6)])
 def test_criterion_1_ground_state(n, sigma, tol):
     t0 = time.time()
-    gs = solve_ground_state(n, sigma)
-    r1, r2 = gs.pokhozhaev_residuals()
-    h_def, h_mass, h_grad = energy_three_ways(gs)
-    scale = max(abs(h_def), gs.mass)
-    spread = max(abs(h_def - h_mass), abs(h_def - h_grad)) / scale
+    r1, r2, spread = ground_state_residuals(solve_ground_state(n, sigma))
     elapsed = time.time() - t0
     ok = r1 <= tol and r2 <= tol and spread <= tol and elapsed < 10.0
     _line(1, ok, f"(n={n}, sigma={sigma}) residuals=({r1:.1e},{r2:.1e}) "
@@ -61,18 +52,7 @@ def test_criterion_1_ground_state(n, sigma, tol):
 
 def test_criterion_2_gn_sharpness():
     t0 = time.time()
-    gs = solve_ground_state(1, 2.0)
-    grid = GridSpec(1, 40.0, 512, dealias_fraction=1.0)
-    q = ground_state_field(gs, grid)
-    s = observe(q, 0.0, mass(q), 0.0, 2.0)
-    rhs = gs.C_GN * s.grad_sq ** 1.0 * s.mass**2.0  # n sigma/2 = 1, (2+2 sigma... ) = 2
-    eq_err = abs(s.lp2s2 - rhs) / rhs
-    rng = np.random.default_rng(2024)
-    strict = 0
-    for _ in range(20):
-        u = random_smooth_field(grid, rng)
-        su = observe(u, 0.0, mass(u), 0.0, 2.0)
-        strict += su.lp2s2 < gs.C_GN * su.grad_sq * su.mass**2
+    eq_err, strict = gn_sharpness(np.random.default_rng(2024))
     elapsed = time.time() - t0
     ok = eq_err <= 1e-6 and strict == 20 and elapsed < 10.0
     _line(2, ok, f"equality error {eq_err:.2e} <= 1e-6, strict inequality on "
@@ -134,28 +114,10 @@ def test_criterion_4_deterministic_dichotomy():
 # 5 ------------------------------------------------------------------------
 
 
-def _virial_errors(dt):
-    gs = solve_ground_state(1, 3.0)
-    grid = GridSpec(1, 30.0, 512)
-    q = ground_state_field(gs, grid)
-    u0 = q.with_values(1.02 * q.values)
-    cfg = SimConfig(n=1, sigma=3.0, noise_type="none", dt0=dt, T_end=0.3,
-                    grad_threshold=50.0, record_stride=1,
-                    gs_refs=GroundStateRefs.from_ground_state(gs))
-    arr = run_trajectory(cfg, u0, None, 0).sample_arrays()
-    t, V, G, H, gsq = arr["t"], arr["variance"], arr["momentum"], arr["energy"], arr["grad_sq"]
-    dV = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
-    err_v = np.max(np.abs(dV - 4 * G[1:-1])) / np.max(np.abs(4 * G[1:-1]))
-    dG = (G[2:] - G[:-2]) / (t[2:] - t[:-2])
-    rate = 2 * 3.0 * H - 2 * 3.0 * gs.s_c * gsq  # 2 n sigma H - 2 sigma s_c ||grad||^2
-    err_g = np.max(np.abs(dG - rate[1:-1])) / np.max(np.abs(rate))
-    return err_v, err_g
-
-
 def test_criterion_5_virial_identities():
     t0 = time.time()
-    ev1, eg1 = _virial_errors(2e-3)
-    ev2, eg2 = _virial_errors(1e-3)
+    ev1, eg1 = virial_errors(2e-3)
+    ev2, eg2 = virial_errors(1e-3)
     elapsed = time.time() - t0
     order_ok = ev2 <= ev1 / 1.8 and eg2 <= eg1 / 1.8  # at least first order
     final_ok = ev2 <= 1e-3 and eg2 <= 1e-3
@@ -169,16 +131,13 @@ def test_criterion_5_virial_identities():
 
 def test_criterion_6_additive_mass_drift():
     t0 = time.time()
-    cfg = get_preset("add-mass-drift")
-    grid, gs, sim, cov, init, chash = materialize(cfg)
-    nc = noise_constants(cov, grid, sim.sigma)
-    ecfg = EnsembleConfig(n_traj=1000, master_seed=7001, trajectory=sim, grid=grid,
-                          initial_data=init, covariance=cov, ground_state=gs,
-                          parallel_workers=WORKERS, config_hash=chash)
+    ecfg = ensemble_config(get_preset("add-mass-drift"), n_traj=1000, master_seed=7001,
+                           workers=WORKERS)
     summary, _ = run_ensemble(ecfg)
-    chk = mass_drift_check(summary, 0.0, nc.hs00, checkpoints=5)
+    chk = drift_check(summary, ecfg,
+                      noise_constants(ecfg.covariance, ecfg.grid, ecfg.trajectory.sigma))
     elapsed = time.time() - t0
-    ok = chk["z_max"] <= 3.0 and elapsed < 600.0
+    ok = chk["z_max"] <= 3.0 and len(chk["z_scores"]) == 5 and elapsed < 600.0
     _line(6, ok, f"1000 trajectories, |mean M - M0 - t hs00| z-scores "
                  f"{['%.2f' % z for z in chk['z_scores']]} (max {chk['z_max']:.2f} <= 3), "
                  f"{elapsed:.0f}s < 600s")
@@ -189,19 +148,13 @@ def test_criterion_6_additive_mass_drift():
 
 def test_criterion_7_multiplicative_energy_drift():
     t0 = time.time()
-    cfg = get_preset("mult-energy-drift")
-    grid, gs, sim, cov, init, chash = materialize(cfg)
-    nc = noise_constants(cov, grid, sim.sigma)
-    u0 = build_initial_data(init, grid, gs, None)
-    h0 = observe(u0, 0.0, mass(u0), 0.0, sim.sigma).energy
-    ecfg = EnsembleConfig(n_traj=1000, master_seed=7002, trajectory=sim, grid=grid,
-                          initial_data=init, covariance=cov, ground_state=gs,
-                          parallel_workers=WORKERS, config_hash=chash)
+    ecfg = ensemble_config(get_preset("mult-energy-drift"), n_traj=1000, master_seed=7002,
+                           workers=WORKERS)
     summary, _ = run_ensemble(ecfg)
-    f1c = float(nc.f1_phi.flat[0])  # spatially constant for diagonal covariances
-    chk = energy_drift_check(summary, h0, f1c, checkpoints=3)
+    chk = drift_check(summary, ecfg,
+                      noise_constants(ecfg.covariance, ecfg.grid, ecfg.trajectory.sigma))
     elapsed = time.time() - t0
-    ok = chk["z_max"] <= 3.0 and elapsed < 600.0
+    ok = chk["z_max"] <= 3.0 and len(chk["z_scores"]) == 3 and elapsed < 600.0
     _line(7, ok, f"1000 trajectories, energy drift z-scores "
                  f"{['%.2f' % z for z in chk['z_scores']]} (max {chk['z_max']:.2f} <= 3), "
                  f"{elapsed:.0f}s < 600s")
@@ -257,14 +210,9 @@ def test_criterion_8_theory_engine():
 
 def _run_preset_ensemble(name, n_traj=None):
     cfg = get_preset(name)
-    grid, gs, sim, cov, init, chash = materialize(cfg)
-    ecfg = EnsembleConfig(
-        n_traj=n_traj or int(cfg.ensemble.get("n_traj", 100)),
-        master_seed=int(cfg.ensemble.get("master_seed", 0)),
-        trajectory=sim, grid=grid, initial_data=init, covariance=cov,
-        ground_state=gs, parallel_workers=WORKERS, config_hash=chash)
+    ecfg = ensemble_config(cfg, n_traj, workers=WORKERS)
     summary, recs = run_ensemble(ecfg)
-    report = build_theory_report(cfg, gs=gs)
+    report = build_theory_report(cfg, gs=ecfg.ground_state)
     return summary, recs, report
 
 
@@ -306,14 +254,10 @@ def test_criterion_9_probabilistic_bounds():
 
 def test_criterion_10_worker_determinism():
     t0 = time.time()
-    cfg = get_preset("add-critical")
-    grid, gs, sim, cov, init, chash = materialize(cfg)
+    ecfg = ensemble_config(get_preset("add-critical"), n_traj=64, master_seed=4242)
     summaries = []
     for workers in (1, 8):
-        ecfg = EnsembleConfig(n_traj=64, master_seed=4242, trajectory=sim, grid=grid,
-                              initial_data=init, covariance=cov, ground_state=gs,
-                              parallel_workers=workers, config_hash=chash)
-        summary, _ = run_ensemble(ecfg)
+        summary, _ = run_ensemble(replace(ecfg, parallel_workers=workers))
         summaries.append(json.dumps(summary.to_dict(), sort_keys=True))
     elapsed = time.time() - t0
     ok = summaries[0] == summaries[1] and elapsed < 300.0

@@ -3,7 +3,13 @@ import json
 import pytest
 
 from snls.cli import main
-from snls.config import ExperimentConfig, config_hash, dump_config, load_config
+from snls.config import (
+    ExperimentConfig,
+    config_hash,
+    dump_config,
+    ensemble_config,
+    load_config,
+)
 from snls.presets import PRESETS, get_preset, preset_names
 
 
@@ -196,6 +202,32 @@ def test_config_cross_field_validation():
             "initial_data": {"family": "zero"},
             "run": {"dt": 5.0, "T_end": 1.0},  # dt >= T_end
         })
+
+
+def test_cli_materialize_is_the_config_one():
+    # the benchmark calls snls.cli.materialize and unpacks six values
+    import snls.cli
+    import snls.config
+
+    assert snls.cli.materialize is snls.config.materialize
+    cfg = get_preset("add-mass-drift")
+    grid, gs, sim, cov, init, chash = snls.cli.materialize(cfg)
+    assert grid == cfg.build_grid() and init == cfg.build_initial_data()
+    assert sim.gs_refs.mass == gs.mass and cov is not None
+    assert chash == config_hash(cfg)
+
+
+def test_ensemble_config_defaults_and_overrides():
+    cfg = get_preset("add-mass-drift")  # ensemble section: 1000 trajectories, seed 7001
+    ecfg = ensemble_config(cfg)
+    assert (ecfg.n_traj, ecfg.master_seed, ecfg.parallel_workers) == (1000, 7001, 1)
+    assert ecfg.config_hash == config_hash(cfg)
+    bare = ExperimentConfig.from_dict({**cfg.to_dict(), "ensemble": {}})
+    ecfg = ensemble_config(bare)
+    assert (ecfg.n_traj, ecfg.master_seed) == (100, 0)
+    for base in (cfg, bare):
+        ecfg = ensemble_config(base, n_traj=7, master_seed=0, workers=2)
+        assert (ecfg.n_traj, ecfg.master_seed, ecfg.parallel_workers) == (7, 0, 2)
 
 
 def test_preset_hashes_are_distinct():

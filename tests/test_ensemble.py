@@ -177,14 +177,11 @@ def test_drift_check_verdicts(small_ensemble_cfg):
 def test_multiplicative_critical_survival_probability_one(gs_1d_s2):
     # mass below M(Q) with Stratonovich noise: global existence a.s., so the
     # empirical survival probability over 200 paths must be exactly 1
-    from snls.cli import materialize
+    from snls.config import ensemble_config
     from snls.presets import get_preset
 
-    cfg = get_preset("mult-critical-survival")
-    grid, gs, sim, cov, init, chash = materialize(cfg)
-    ecfg = EnsembleConfig(n_traj=200, master_seed=7007, trajectory=sim, grid=grid,
-                          initial_data=init, covariance=cov, ground_state=gs,
-                          parallel_workers=2, config_hash=chash)
+    ecfg = ensemble_config(get_preset("mult-critical-survival"), n_traj=200,
+                           master_seed=7007, workers=2)
     summary, recs = run_ensemble(ecfg)
     assert summary.survival_prob == 1.0
     assert summary.survival_interval[0] > 0.98

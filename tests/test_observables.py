@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from snls.grid import FieldState, GridSpec, mass
 from snls.initial_data import ground_state_field
 from snls.observables import classify_dichotomy, momentum, observe
-from conftest import random_smooth_field
+from snls.verify import random_smooth_field
 
 
 def test_ground_state_observables(gs_1d_s2, q_field):
