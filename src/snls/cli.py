@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-
-import numpy as np
 
 from .config import ExperimentConfig, ensemble_config, load_config, materialize
 from .dynamics import run_trajectory
@@ -23,28 +20,19 @@ from .initial_data import build_initial_data
 from .noise_model import make_rng
 from .observables import classify_dichotomy
 from .report import build_theory_report
+from .schema import plain
 from .verify import run_suite
 
 EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_VERIFY = 0, 1, 2, 3
 
 
 def _json_out(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_encode)
+    text = json.dumps(plain(obj), indent=2, sort_keys=True)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _encode(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    raise TypeError(f"not JSON serializable: {type(v)}")
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -60,17 +48,8 @@ def _resolve_config(args) -> ExperimentConfig:
 def cmd_ground_state(args):
     gs = solve_ground_state(args.n, args.sigma,
                             tol=args.tol if args.tol > 0 else None)
-    r1, r2 = gs.pokhozhaev_residuals()
-    h = energy_three_ways(gs)
-    doc = {
-        "n": gs.n, "sigma": gs.sigma, "s_c": gs.s_c, "alpha": gs.alpha,
-        "mass": gs.mass, "grad_sq": gs.grad_sq, "lp2s2": gs.lp2s2,
-        "energy": gs.energy, "gn_K": gs.gn_K, "C_GN": gs.C_GN,
-        "x_star": gs.x_star, "f_xstar": gs.f_xstar,
-        "pokhozhaev_residuals": [r1, r2],
-        "energy_three_ways": list(h),
-        "tol": gs.tol,
-    }
+    doc = {**plain(gs), "pokhozhaev_residuals": gs.pokhozhaev_residuals(),
+           "energy_three_ways": energy_three_ways(gs)}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _json_out(doc, os.path.join(args.out, "ground_state.json"))
@@ -88,7 +67,7 @@ def cmd_ground_state(args):
 def cmd_theory(args):
     cfg = _resolve_config(args)
     rep = build_theory_report(cfg, horizon=args.horizon)
-    _json_out(rep.to_dict(), args.out)
+    _json_out(rep, args.out)
     return EXIT_OK
 
 
@@ -100,7 +79,7 @@ def cmd_simulate(args):
     rec = run_trajectory(sim, u0, cov, seed=(args.seed, 0))
     rec.config_hash = chash
     doc = rec.to_summary_dict()
-    doc["classification"] = classify_dichotomy(u0, gs).to_dict()
+    doc["classification"] = classify_dichotomy(u0, gs)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         from .ensemble import persist_records
@@ -125,9 +104,9 @@ def cmd_ensemble(args):
             drift.append(drift_check(summary, ecfg, rep.noise))
         summary.theory_comparison = compare_with_theory(summary, rep, drift_checks=drift)
         if any(v.get("verdict") == "violated" for v in summary.theory_comparison):
-            _json_out(summary.to_dict())
+            _json_out(summary)
             return EXIT_VERIFY
-    _json_out(summary.to_dict())
+    _json_out(summary)
     return EXIT_OK
 
 

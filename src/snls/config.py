@@ -34,8 +34,8 @@ class ExperimentConfig:
     covariance: dict    # {kind, amplitudes | kernel profile, scale, ...}
     initial_data: dict  # {family, params}
     run: dict           # {dt, T_end, grad_threshold, record_stride, adapt, thresholds, ...}
-    ensemble: dict = field(default_factory=dict)  # {n_traj, master_seed, workers}
-    output: dict = field(default_factory=dict)    # {out_dir, gzip}
+    ensemble: dict = field(default_factory=dict)  # {n_traj, master_seed}
+    output: dict = field(default_factory=dict)    # {gzip}
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self):
@@ -183,7 +183,7 @@ def ensemble_config(cfg: ExperimentConfig, n_traj: int | None = None,
     grid, gs, sim, cov, init, chash = materialize(cfg)
     e = cfg.ensemble
     return EnsembleConfig(
-        n_traj=n_traj or int(e.get("n_traj", 100)),
+        n_traj=n_traj if n_traj is not None else int(e.get("n_traj", 100)),
         master_seed=master_seed if master_seed is not None else int(e.get("master_seed", 0)),
         trajectory=sim, grid=grid, initial_data=init, covariance=cov,
         ground_state=gs, parallel_workers=workers, config_hash=chash,

@@ -23,6 +23,7 @@ from .ground_state import GroundState
 from .initial_data import InitialData, build_initial_data
 from .noise_model import CovarianceSpec, NoiseConstants, NoiseSampler, make_rng
 from .observables import SAMPLE_KEYS, observe, sample_values
+from .schema import plain
 
 __all__ = [
     "EnsembleConfig",
@@ -115,23 +116,7 @@ class EnsembleSummary:
     config_hash: str | None = None
 
     def to_dict(self):
-        return {
-            "n_traj": self.n_traj,
-            "master_seed": self.master_seed,
-            "survival_prob": self.survival_prob,
-            "survival_interval": list(self.survival_interval),
-            "survival_horizon": self.survival_horizon,
-            "blowup_fraction": self.blowup_fraction,
-            "blowup_interval": list(self.blowup_interval),
-            "failed_count": self.failed_count,
-            "usable": self.usable,
-            "hitting_times": self.hitting_times,
-            "mean_paths": {k: {kk: (vv.tolist() if isinstance(vv, np.ndarray) else vv)
-                               for kk, vv in v.items()}
-                           for k, v in self.mean_paths.items()},
-            "theory_comparison": self.theory_comparison,
-            "config_hash": self.config_hash,
-        }
+        return plain(self)
 
 
 def _run_one(cfg: EnsembleConfig, index: int, sampler: NoiseSampler | None) -> TrajectoryRecord:
@@ -284,23 +269,24 @@ def compare_with_theory(summary: EnsembleSummary, report, T: float | None = None
     return verdicts
 
 
+def _drift_z(name: str, t, mean, se, predicted, checkpoints: int) -> dict:
+    """z statistics of a mean path against its predicted values at checkpoints."""
+    idx = np.unique(np.linspace(1, len(t) - 1, checkpoints).astype(int))
+    zs = [(mean[i] - predicted[i]) / (se[i] if se[i] > 0 else 1e-300) for i in idx]
+    return {"name": name, "z_scores": [float(z) for z in zs],
+            "z_max": float(np.max(np.abs(zs))),
+            "theoretical": float(predicted[idx[-1]]),
+            "empirical": float(mean[idx[-1]]),
+            "times": [float(t[i]) for i in idx]}
+
+
 def mass_drift_check(summary: EnsembleSummary, m0: float, hs00: float,
                      checkpoints: int = 5) -> dict:
     """z statistics of mean M(t) against the additive drift law M(u0) + t hs00."""
     paths = summary.mean_paths["mass"]
-    t, mean, se = paths["t"], paths["mean"], paths["se"]
-    idx = np.unique(np.linspace(1, len(t) - 1, checkpoints).astype(int))
-    zs = []
-    for i in idx:
-        predicted = m0 + t[i] * hs00
-        denom = se[i] if se[i] > 0 else 1e-300
-        zs.append((mean[i] - predicted) / denom)
-    z_max = float(np.max(np.abs(zs)))
-    return {"name": "additive mass drift E M(t) = M(u0) + t hs00",
-            "z_scores": [float(z) for z in zs], "z_max": z_max,
-            "theoretical": float(m0 + t[idx[-1]] * hs00),
-            "empirical": float(mean[idx[-1]]),
-            "times": [float(t[i]) for i in idx]}
+    t = paths["t"]
+    return _drift_z("additive mass drift E M(t) = M(u0) + t hs00", t, paths["mean"],
+                    paths["se"], m0 + t * hs00, checkpoints)
 
 
 def energy_drift_check(summary: EnsembleSummary, h0: float, f1_const: float,
@@ -311,24 +297,13 @@ def energy_drift_check(summary: EnsembleSummary, h0: float, f1_const: float,
     correction integrand is f1_const * M(s) with M recorded along the path;
     the time integral is taken by the trapezoid rule on the recorded grid.
     """
-    t = summary.mean_paths["energy"]["t"]
-    mean_h = summary.mean_paths["energy"]["mean"]
-    se_h = summary.mean_paths["energy"]["se"]
+    paths = summary.mean_paths["energy"]
+    t = paths["t"]
     mean_m = summary.mean_paths["mass"]["mean"]
     corr = np.concatenate(([0.0], np.cumsum(
         0.5 * (mean_m[1:] + mean_m[:-1]) * np.diff(t)))) * 0.5 * f1_const
-    idx = np.unique(np.linspace(1, len(t) - 1, checkpoints).astype(int))
-    zs = []
-    for i in idx:
-        predicted = h0 + corr[i]
-        denom = se_h[i] if se_h[i] > 0 else 1e-300
-        zs.append((mean_h[i] - predicted) / denom)
-    z_max = float(np.max(np.abs(zs)))
-    return {"name": "multiplicative energy drift E H(t) = H(u0) + (1/2) int E|u|^2 f1",
-            "z_scores": [float(z) for z in zs], "z_max": z_max,
-            "theoretical": float(h0 + corr[idx[-1]]),
-            "empirical": float(mean_h[idx[-1]]),
-            "times": [float(t[i]) for i in idx]}
+    return _drift_z("multiplicative energy drift E H(t) = H(u0) + (1/2) int E|u|^2 f1",
+                    t, paths["mean"], paths["se"], h0 + corr, checkpoints)
 
 
 def drift_check(summary: EnsembleSummary, cfg: EnsembleConfig, nc: NoiseConstants) -> dict:

@@ -184,10 +184,6 @@ class FieldState:
             self._spectral = fft_field(self.values)
         return self._spectral
 
-    @property
-    def has_valid_cache(self) -> bool:
-        return self._spectral is not None
-
     def with_values(self, values, spectral=None) -> "FieldState":
         return FieldState(self.grid, values, spectral)
 

@@ -18,7 +18,7 @@ returned GroundState is validated against the two Pokhozhaev identities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,8 +94,9 @@ class GroundState:
     C_GN: float
     x_star: float | None
     f_xstar: float | None
-    r: np.ndarray                # radial sample points (|x| in 1d)
-    profile: np.ndarray          # Q on r
+    # the radial profile goes to the CSV, not to the JSON document
+    r: np.ndarray = field(metadata={"serialize": False})        # sample points (|x| in 1d)
+    profile: np.ndarray = field(metadata={"serialize": False})  # Q on r
     tol: float
 
     @property

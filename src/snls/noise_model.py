@@ -90,11 +90,6 @@ class CovarianceSpec:
         elif self.kernel is None:
             raise ValueError("physical_kernel spec needs kernel samples")
 
-    def with_scale(self, scale: float) -> "CovarianceSpec":
-        return CovarianceSpec(self.kind, dict(self.amplitudes),
-                              None if self.kernel is None else self.kernel.copy(),
-                              scale, self.kernel_floor)
-
     def mode_amplitudes(self, grid: GridSpec) -> dict:
         """Resolved {pair representative mode: scaled amplitude} on this grid."""
         if self.kind == "fourier_diagonal":

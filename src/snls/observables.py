@@ -32,7 +32,7 @@ class ObservableSample:
     lp2s2: float                    # ||u||_{2 sigma + 2}^{2 sigma + 2}
     variance: float                 # V(u) = int |x|^2 |u|^2
     momentum: float                 # G(u) = Im int u x.grad(conj u)
-    X: float                        # ||grad u|| * (mass factor)^(alpha/2)
+    X: float                        # ||grad u|| * M(u0)^(alpha/2)
     me_product: float               # H(u) * (frozen initial mass)^alpha
     boundary_mass_fraction: float
 
@@ -64,13 +64,11 @@ def momentum(state: FieldState) -> float:
     return float(g.cell_volume * acc)
 
 
-def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float,
-            mass_factor: float | None = None) -> ObservableSample:
+def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float) -> ObservableSample:
     """All recorded scalars at time t.
 
-    m0 is the frozen initial mass entering me_product = H * m0^alpha.  X uses
-    mass_factor (default m0); the additive intercritical trackers pass the
-    lambda^2 M(Q) surrogate instead.  Pass alpha = 0 in the mass-critical case,
+    m0 is the frozen initial mass entering me_product = H * m0^alpha and
+    X = ||grad u|| * m0^(alpha/2).  Pass alpha = 0 in the mass-critical case,
     which makes X the plain gradient norm.  One finiteness scan and one |u|^2
     serve every scalar.
     """
@@ -84,9 +82,7 @@ def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float,
     lp2s2 = float(h * np.sum(abs2 ** (p / 2.0)))
     grad_sq = gradient_norm_sq(u)
     energy = 0.5 * grad_sq - lp2s2 / p
-    if mass_factor is None:
-        mass_factor = m0
-    X = math.sqrt(grad_sq) * mass_factor ** (alpha / 2.0)
+    X = math.sqrt(grad_sq) * m0 ** (alpha / 2.0)
     return ObservableSample(
         t=float(t), mass=m, energy=energy, grad_sq=grad_sq, lp2s2=lp2s2,
         variance=weighted_variance_quadrature(g, abs2), momentum=momentum(u),
@@ -102,12 +98,6 @@ class DichotomyReport:
     mass_ratio: float      # M(u0) / M(Q)
     beta: float | None     # H(u0) M(u0)^alpha / (H(Q) M(Q)^alpha), intercritical
     delta0: float | None   # X(0) / x*, intercritical
-
-    def to_dict(self):
-        return {
-            "regime": self.regime, "s_c": self.s_c, "mass_ratio": self.mass_ratio,
-            "beta": self.beta, "delta0": self.delta0,
-        }
 
 
 def classify_dichotomy(u0: FieldState, gs: GroundState, rel_tol: float = 1e-9) -> DichotomyReport:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .schema import plain
+
 if TYPE_CHECKING:
     from .noise_model import NoiseConstants
 
@@ -154,18 +156,11 @@ class ConditionCheck:
     comparator: str  # "<=" or "<"
     passed: bool
 
-    def to_dict(self):
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "comparator": self.comparator, "passed": self.passed}
-
 
 @dataclass(frozen=True)
 class ConditionLedger:
     checks: tuple
     satisfied: bool
-
-    def to_dict(self):
-        return {"checks": [c.to_dict() for c in self.checks], "satisfied": self.satisfied}
 
     def __getitem__(self, name):
         for c in self.checks:
@@ -345,34 +340,9 @@ class TheoryReport:
     blowup_additive: ConditionLedger | None = None
     notes: tuple = ()
     config_hash: str | None = None
-    # the NoiseConstants the bounds used, for callers' drift checks; not serialized
-    noise: NoiseConstants | None = field(default=None, repr=False, compare=False)
+    # the NoiseConstants the bounds used, for callers' drift checks
+    noise: NoiseConstants | None = field(default=None, repr=False, compare=False,
+                                         metadata={"serialize": False})
 
     def to_dict(self):
-        def enc(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-
-        d = {
-            "n": self.n, "sigma": self.sigma, "s_c": self.s_c, "alpha": self.alpha,
-            "regime": self.regime, "beta": self.beta, "gamma": self.gamma,
-            "delta0": self.delta0,
-            "T_star_mult": enc(self.T_star_mult),
-            "T_star_mult_random": enc(self.T_star_mult_random),
-            "eps_star": self.eps_star,
-            "T_star_add_crit": enc(self.T_star_add_crit),
-            "T_tilde_add_inter": enc(self.T_tilde_add_inter),
-            "t_tilde_detail": {k: enc(v) for k, v in self.t_tilde_detail.items()},
-            "grad_bound": enc(self.grad_bound),
-            "mass_sup_bound": enc(self.mass_sup_bound),
-            "mass_excess_bound": enc(self.mass_excess_bound),
-            "mass_moment_bound": enc(self.mass_moment_bound),
-            "blowup_multiplicative": (None if self.blowup_multiplicative is None
-                                      else self.blowup_multiplicative.to_dict()),
-            "blowup_additive": (None if self.blowup_additive is None
-                                else self.blowup_additive.to_dict()),
-            "notes": list(self.notes),
-            "config_hash": self.config_hash,
-        }
-        return d
+        return plain(self)

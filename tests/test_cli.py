@@ -13,6 +13,14 @@ from snls.config import (
 from snls.presets import PRESETS, get_preset, preset_names
 
 
+def strict_json(text):
+    """json.loads that rejects the non-JSON constants NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -22,7 +30,7 @@ def run_cli(capsys, *argv):
 def test_ground_state_cli_critical(capsys):
     code, out, _ = run_cli(capsys, "ground-state", "--n", "1", "--sigma", "2")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert abs(doc["energy"]) <= 1e-10  # H(Q) = 0 at s_c = 0
     assert doc["gn_K"] == pytest.approx(3.0)  # K = sigma + 1 in the critical case
 
@@ -31,7 +39,7 @@ def test_ground_state_cli_radial_residuals(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ground-state", "--n", "3", "--sigma", "1",
                            "--out", str(tmp_path))
     assert code == 0
-    doc = json.loads((tmp_path / "ground_state.json").read_text())
+    doc = strict_json((tmp_path / "ground_state.json").read_text())
     assert max(doc["pokhozhaev_residuals"]) <= 1e-6
     csv = (tmp_path / "ground_state_profile.csv").read_text().splitlines()
     assert csv[0] == "r,Q"
@@ -47,7 +55,7 @@ def test_ground_state_cli_rejects_supercritical(capsys):
 def test_theory_cli_preset(capsys):
     code, out, _ = run_cli(capsys, "theory", "--preset", "mult-intercritical-3d-cubic")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["T_star_mult"] is not None and doc["T_star_mult"] > 0
     assert doc["config_hash"] == config_hash(get_preset("mult-intercritical-3d-cubic"))
 
@@ -60,7 +68,7 @@ def test_theory_cli_above_threshold(capsys, tmp_path):
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(capsys, "theory", "--config", str(path))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["regime"] == "above-threshold"
     assert doc["T_star_add_crit"] is None  # omitted above the threshold
 
@@ -79,7 +87,7 @@ def test_theory_cli_additive_above_threshold_field(capsys, tmp_path):
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(capsys, "theory", "--config", str(path))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["T_tilde_add_inter"] is None
     assert any("above additive threshold" in n for n in doc["notes"])
 
@@ -99,7 +107,7 @@ def test_theory_random_initial_data_moment_bound(capsys, tmp_path):
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(capsys, "theory", "--config", str(path))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["T_star_mult_random"] is not None
     assert doc["T_star_mult_random"] > 0
     # the deterministic horizon at the envelope c is smaller than the
@@ -128,7 +136,7 @@ def test_theory_additive_blowup_ledger(capsys, tmp_path):
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(capsys, "theory", "--config", str(path))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     led = doc["blowup_additive"]
     assert led is not None
     names = {c["name"] for c in led["checks"]}
@@ -141,7 +149,7 @@ def test_simulate_cli_survival(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--preset", "det-critical-below",
                            "--out", str(tmp_path))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["status"]["kind"] == "survived"
     assert doc["classification"]["regime"] == "global-side"
     assert (tmp_path / "traj_00000.jsonl").exists()
@@ -152,7 +160,7 @@ def test_ensemble_cli_smoke(capsys):
     code, out, _ = run_cli(capsys, "ensemble", "--preset", "add-mass-drift",
                            "--n-traj", "40", "--workers", "1")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["n_traj"] == 40
     assert doc["survival_prob"] == 1.0
     assert doc["usable"] is True
@@ -269,6 +277,27 @@ def test_ensemble_compare_computes_noise_constants_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "ensemble", "--preset", "add-mass-drift",
                            "--n-traj", "20", "--workers", "1", "--compare")
     assert code == 0
-    bounds = [v["bound"] for v in json.loads(out)["theory_comparison"]]
+    bounds = [v["bound"] for v in strict_json(out)["theory_comparison"]]
     assert any("mass drift" in b for b in bounds)
     assert len(calls) == 1
+
+
+def test_ensemble_compare_writes_infinite_horizon_as_inf(capsys, tmp_path):
+    # constant-mode noise has M_phi = 0, so T* is infinite (global existence)
+    cfg = get_preset("mult-inter-survival").to_dict()
+    cfg["covariance"] = {"kind": "fourier_diagonal", "amplitudes": {"0": 0.3}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "ensemble", "--config", str(path), "--n-traj", "2",
+                           "--compare")
+    assert code == 0
+    survival = [v for v in strict_json(out)["theory_comparison"]
+                if v["bound"].startswith("survival")]
+    assert [v["theoretical"] for v in survival] == ["inf"]
+
+
+def test_ensemble_cli_rejects_zero_trajectories(capsys):
+    code, out, err = run_cli(capsys, "ensemble", "--preset", "add-mass-drift",
+                             "--n-traj", "0")
+    assert code == 1
+    assert "n_traj must be >= 1" in err and out == ""

@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 
@@ -229,6 +230,22 @@ def test_persisted_records(tmp_path, small_ensemble_cfg):
     terminal = json.loads(lines[-1])["terminal"]
     assert terminal["config_hash"] == "h3"
     assert terminal["status"]["kind"] == "survived"
+
+
+def test_gzip_persistence_matches_plain_files(tmp_path, small_ensemble_cfg):
+    cfg = EnsembleConfig(n_traj=2, master_seed=1, trajectory=small_ensemble_cfg.trajectory,
+                         grid=small_ensemble_cfg.grid,
+                         initial_data=small_ensemble_cfg.initial_data,
+                         covariance=small_ensemble_cfg.covariance,
+                         ground_state=small_ensemble_cfg.ground_state,
+                         config_hash="h4")
+    run_ensemble(cfg, out_dir=str(tmp_path / "plain"))
+    run_ensemble(cfg, out_dir=str(tmp_path / "gz"), compress=True)
+    names = ["traj_00000.jsonl", "traj_00001.jsonl"]
+    assert sorted(p.name for p in (tmp_path / "gz").iterdir()) == [n + ".gz" for n in names]
+    for name in names:
+        with gzip.open(tmp_path / "gz" / (name + ".gz"), "rb") as fh:
+            assert fh.read() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_one_sampler_per_chunk(small_ensemble_cfg, monkeypatch):

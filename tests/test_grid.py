@@ -178,9 +178,9 @@ def test_fft_roundtrip_and_cache():
     rng = np.random.default_rng(2)
     vals = rng.standard_normal((32, 64)) + 1j * rng.standard_normal((32, 64))
     u = FieldState(g, vals)
-    assert not u.has_valid_cache
+    assert u._spectral is None  # nothing transformed until asked
     spec = u.spectral
-    assert u.has_valid_cache
+    assert u.spectral is spec  # cached, not recomputed
     back = np.fft.ifftn(spec)
     assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
 

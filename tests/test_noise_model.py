@@ -69,9 +69,9 @@ def test_band_validation(grid):
 @given(c=st.floats(0.1, 10.0))
 def test_quadratic_scaling_law(c):
     grid = GridSpec(1, 2 * np.pi, 64)
-    base = CovarianceSpec("fourier_diagonal", {(0,): 0.3, (1,): 0.2, (2,): 0.1})
-    nc0 = noise_constants(base, grid, 2.0)
-    nc1 = noise_constants(base.with_scale(c), grid, 2.0)
+    amps = {(0,): 0.3, (1,): 0.2, (2,): 0.1}
+    nc0 = noise_constants(CovarianceSpec("fourier_diagonal", amps), grid, 2.0)
+    nc1 = noise_constants(CovarianceSpec("fourier_diagonal", amps, scale=c), grid, 2.0)
     for a, b in [(nc0.hs00, nc1.hs00), (nc0.hs01, nc1.hs01), (nc0.M_phi, nc1.M_phi),
                  (nc0.C_phi_1, nc1.C_phi_1), (nc0.C_phi_Sigma, nc1.C_phi_Sigma),
                  (nc0.C_rad_2s2, nc1.C_rad_2s2)]:

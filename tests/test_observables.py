@@ -123,11 +123,3 @@ def test_classify_blowup_side(gs_1d_s3):
     assert rep.regime == "blow-up-side"
     assert rep.beta < 1.0 < rep.delta0
 
-
-def test_additive_variant_mass_factor(gs_1d_s3):
-    grid = GridSpec(1, 30.0, 512)
-    q = ground_state_field(gs_1d_s3, grid)
-    lam_sq_mq = 0.9**2 * gs_1d_s3.mass
-    s = observe(q, 0.0, mass(q), gs_1d_s3.alpha, 3.0, mass_factor=lam_sq_mq)
-    assert s.X == pytest.approx(math.sqrt(s.grad_sq) * lam_sq_mq ** (gs_1d_s3.alpha / 2),
-                                rel=1e-12)
