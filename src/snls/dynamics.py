@@ -33,6 +33,7 @@ on a FieldState, built from the same phase and propagator helpers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -259,42 +260,44 @@ def _finite(values: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(values.view(np.float64))))
 
 
+def _square(x):
+    return None if x is None else x**2
+
+
+def _tracker_rows(cfg: SimConfig) -> list:
+    """(name, sample field, comparison, limit) of each enabled stopping time.
+
+    A row is left out when its threshold or its ground-state reference is None.
+    """
+    rows = [("sigma_0", "energy", operator.le, 0.0),
+            ("tau_tilde_N", "grad_sq", operator.ge, cfg.grad_threshold**2)]
+    refs, th = cfg.gs_refs, cfg.thresholds
+    if refs is None:
+        return rows
+    me_q = refs.energy * refs.mass**cfg.alpha_or_zero
+    for name, key, cmp, factor, ref in (
+        ("tau_delta_energy", "me_product", operator.ge, th.delta_energy, me_q),
+        ("sigma_gamma", "me_product", operator.ge, th.gamma, me_q),
+        ("tau_delta_mass", "mass", operator.ge, _square(th.delta_mass), refs.mass),
+        ("omega_mass_exit", "mass", operator.gt, _square(th.lam), refs.mass),
+        ("tau_A", "energy", operator.ge, th.A_energy, refs.energy),
+        ("tau_delta_gradient", "X", operator.le, th.delta_gradient, refs.x_star),
+    ):
+        if factor is not None and ref is not None:
+            rows.append((name, key, cmp, factor * ref))
+    return rows
+
+
 class _StoppingTrackers:
     """First-crossing detection on the recorded samples."""
 
     def __init__(self, cfg: SimConfig):
         self.hits = {name: None for name in STOPPING_TIME_NAMES}
-        refs = cfg.gs_refs
-        th = cfg.thresholds
-        alpha = cfg.alpha_or_zero
-        self._checks = []
-        if refs is not None:
-            me_q = refs.energy * refs.mass**alpha
-            if th.delta_energy is not None:
-                lim = th.delta_energy * me_q
-                self._checks.append(("tau_delta_energy", lambda s: s.me_product >= lim))
-            if th.gamma is not None:
-                lim = th.gamma * me_q
-                self._checks.append(("sigma_gamma", lambda s: s.me_product >= lim))
-            if th.delta_mass is not None:
-                lim = th.delta_mass**2 * refs.mass
-                self._checks.append(("tau_delta_mass", lambda s: s.mass >= lim))
-            if th.lam is not None:
-                lim = th.lam**2 * refs.mass
-                self._checks.append(("omega_mass_exit", lambda s: s.mass > lim))
-            if th.A_energy is not None:
-                lim = th.A_energy * refs.energy
-                self._checks.append(("tau_A", lambda s: s.energy >= lim))
-            if th.delta_gradient is not None and refs.x_star is not None:
-                lim = th.delta_gradient * refs.x_star
-                self._checks.append(("tau_delta_gradient", lambda s: s.X <= lim))
-        self._checks.append(("sigma_0", lambda s: s.energy <= 0.0))
-        nsq = cfg.grad_threshold**2
-        self._checks.append(("tau_tilde_N", lambda s: s.grad_sq >= nsq))
+        self._rows = _tracker_rows(cfg)
 
     def update(self, sample: ObservableSample):
-        for name, pred in self._checks:
-            if self.hits[name] is None and pred(sample):
+        for name, key, cmp, limit in self._rows:
+            if self.hits[name] is None and cmp(getattr(sample, key), limit):
                 self.hits[name] = sample.t
 
 

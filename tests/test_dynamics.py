@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from snls.config import ensemble_config
+from snls.ensemble import run_ensemble
 from snls.grid import FieldState, GridSpec, mass
+from snls.presets import get_preset
 from snls.dynamics import (
     AdaptSpec,
     GroundStateRefs,
@@ -231,6 +234,52 @@ def test_stopping_time_trackers(gs_1d_s2):
     assert rec.hit_times["omega_mass_exit"] <= rec.hit_times["tau_delta_mass"] + 1e-12
     # hit times are sample times, nondecreasing
     assert rec.hit_times["tau_delta_mass"] >= 0.0
+
+
+def test_each_tracker_uses_its_own_threshold(gs_1d_s3):
+    grid = GridSpec(1, 20.0, 128)
+    q = ground_state_field(gs_1d_s3, grid)
+    u0 = q.with_values(0.8 * q.values)
+    spec = CovarianceSpec("fourier_diagonal", {(0,): 0.2, (1,): 0.2})
+    refs = refs_of(gs_1d_s3)
+    kw = dict(n=1, sigma=3.0, noise_type="additive", dt0=2e-3, T_end=0.5,
+              grad_threshold=50.0, record_stride=1, gs_refs=refs)
+    path = run_trajectory(SimConfig(**kw), u0, spec, seed=(1, 0)).sample_arrays()
+
+    def level(key, p):  # thresholds at distinct quantiles of the path fire at distinct times
+        return float(np.quantile(path[key], p))
+
+    me_q = refs.energy * refs.mass**refs.alpha
+    th = StoppingThresholds(
+        delta_energy=level("me_product", 0.6) / me_q, gamma=level("me_product", 0.8) / me_q,
+        delta_mass=math.sqrt(level("mass", 0.7) / refs.mass),
+        lam=math.sqrt(level("mass", 0.9) / refs.mass),
+        A_energy=level("energy", 0.5) / refs.energy,
+        delta_gradient=level("X", 0.2) / refs.x_star)
+    rec = run_trajectory(SimConfig(**kw, thresholds=th), u0, spec, seed=(1, 0))
+    own = {
+        "tau_delta_energy": lambda s: s.me_product >= th.delta_energy * me_q,
+        "sigma_gamma": lambda s: s.me_product >= th.gamma * me_q,
+        "tau_delta_mass": lambda s: s.mass >= th.delta_mass**2 * refs.mass,
+        "omega_mass_exit": lambda s: s.mass > th.lam**2 * refs.mass,
+        "tau_A": lambda s: s.energy >= th.A_energy * refs.energy,
+        "tau_delta_gradient": lambda s: s.X <= th.delta_gradient * refs.x_star,
+    }
+    for name, holds in own.items():
+        first = next(s.t for s in rec.samples if holds(s))
+        assert rec.hit_times[name] == first, name
+    assert len({rec.hit_times[name] for name in own}) == len(own)
+
+
+def test_mass_containment_not_exited_at_start():
+    # add-inter starts at a fraction of M(Q); the exit level is lam^2 M(Q), not a
+    # limit borrowed from the energy tracker
+    ecfg = ensemble_config(get_preset("add-inter"), n_traj=2, master_seed=11)
+    _, records = run_ensemble(ecfg)
+    lam = ecfg.trajectory.thresholds.lam
+    for rec in records:
+        assert rec.samples[0].mass < lam**2 * ecfg.ground_state.mass
+        assert rec.hit_times["omega_mass_exit"] is None
 
 
 def test_config_validation(gs_1d_s2):
