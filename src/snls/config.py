@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,21 +103,14 @@ class ExperimentConfig:
             return CovarianceSpec("physical_kernel", kernel=kern, scale=scale)
         raise ValueError(f"unknown covariance kind {kind!r}")
 
-    def build_thresholds(self) -> StoppingThresholds:
-        th = self.run.get("thresholds", {})
-        return StoppingThresholds(
-            delta_energy=th.get("delta_energy"),
-            delta_mass=th.get("delta_mass"),
-            delta_gradient=th.get("delta_gradient"),
-            gamma=th.get("gamma"),
-            A_energy=th.get("A_energy"),
-            lam=th.get("lam"),
-        )
-
     def build_sim_config(self, gs_refs: GroundStateRefs | None = None) -> SimConfig:
         r = self.run
+        _reject_unknown("run", r, _RUN_KEYS)
+        th = r.get("thresholds", {})
+        _reject_unknown("run.thresholds", th, _THRESHOLD_KEYS)
+        a = r.get("adapt") or {}
+        _reject_unknown("run.adapt", a, _ADAPT_KEYS)
         adapt = None
-        a = r.get("adapt")
         if a and a.get("enabled", True):
             adapt = AdaptSpec(growth_factor=float(a.get("growth_factor", 2.0)),
                               dt_min=float(a.get("dt_min", 1e-6)))
@@ -130,15 +123,26 @@ class ExperimentConfig:
             grad_threshold=float(r.get("grad_threshold", 1e3)),
             record_stride=int(r.get("record_stride", 1)),
             adapt=adapt,
-            thresholds=self.build_thresholds(),
+            thresholds=StoppingThresholds(**th),
             gs_refs=gs_refs,
             tail_fraction_max=float(r.get("tail_fraction_max", 0.10)),
             allow_conditional_regime=bool(r.get("allow_conditional_regime", False)),
-            disable_nonlinearity=bool(r.get("disable_nonlinearity", False)),
         )
 
     def build_initial_data(self) -> InitialData:
         return InitialData.from_dict(self.initial_data)
+
+
+_RUN_KEYS = frozenset({"dt", "T_end", "grad_threshold", "record_stride", "adapt", "thresholds",
+                       "tail_fraction_max", "allow_conditional_regime"})
+_ADAPT_KEYS = frozenset({"enabled", "growth_factor", "dt_min"})
+_THRESHOLD_KEYS = frozenset(f.name for f in fields(StoppingThresholds))
+
+
+def _reject_unknown(where: str, section: dict, known: frozenset):
+    extra = section.keys() - known
+    if extra:
+        raise ValueError(f"unknown keys in {where}: {sorted(extra)}")
 
 
 def _parse_mode(key: str):

@@ -1,5 +1,10 @@
 """Single-trajectory time integration.
 
+A Trajectory owns one path: its field, its noise stream, its samples and its
+stopping-time hits.  advance() runs the loop to the next record, state() is
+the field at the current time and record() the finished path;
+run_trajectory builds one and advances it to the end.
+
 One step advances the Strang-split deterministic core and then the noise
 substep.  Sign conventions follow the dynamics  i u_t - (Lap u + |u|^2s u) = 0,
 under which the soliton is u(t, x) = e^{-i t} Q(x):
@@ -14,21 +19,21 @@ under which the soliton is u(t, x) = e^{-i t} Q(x):
 
 The dealiasing mask (GridSpec.dealias_mask) sits on the linear propagator
 only: the propagator exp(i |xi|^2 dt) mask is cached per (grid, dt), and no
-separate filtering pass follows the trailing half step.  With the
-nonlinearity disabled the propagator is unmasked.
+separate filtering pass follows the trailing half step.
 
 The phase substeps are pointwise unimodular multiplications, so the discrete
 mass is conserved to rounding, which is the structural counterpart of the
 a.s. mass conservation of the Stratonovich equation.  They leave |u|
-unchanged and therefore commute: run_trajectory carries the post-linear field
+unchanged and therefore commute: a Trajectory carries the post-linear field
 w and fuses the trailing half step, the noise phase and the next leading half
 step into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s.  A step is then
 one FFT pair, one evaluation of P and one complex exponential.  A FieldState
 is built only at record times, where the pending phase is applied to give u;
-the next leading half step then uses the dt chosen after the adaptive check.
-The additive substep is not a phase, so there the trailing half step is
-applied before it on every step.  step_deterministic is the same Strang step
-on a FieldState, built from the same phase and propagator helpers.
+the observables and the spectral-tail check share it, and the next leading
+half step uses the dt chosen after the adaptive check.  The additive substep
+is not a phase, so there the trailing half step is applied before it on every
+step.  step_deterministic is the same Strang step on a FieldState, built from
+the same phase and propagator helpers.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "step_deterministic",
     "step_multiplicative",
     "step_additive",
+    "Trajectory",
     "run_trajectory",
     "STOPPING_TIME_NAMES",
 ]
@@ -136,7 +142,6 @@ class SimConfig:
     gs_refs: GroundStateRefs | None = None
     tail_fraction_max: float = 0.10
     allow_conditional_regime: bool = False
-    disable_nonlinearity: bool = False  # test hook: free Schroedinger evolution
 
     def __post_init__(self):
         if self.noise_type not in ("none", "multiplicative", "additive"):
@@ -288,131 +293,142 @@ def _tracker_rows(cfg: SimConfig) -> list:
     return rows
 
 
-class _StoppingTrackers:
-    """First-crossing detection on the recorded samples."""
+class Trajectory:
+    """One path of the fused integrator, advanced from record to record.
 
-    def __init__(self, cfg: SimConfig):
+    The state at time t is vals * exp(-i theta), theta None when vals is the
+    state; power = |vals|^(2 sigma) is unchanged by the pending phase.  The
+    noise stream is keyed by the seed, so a path is deterministic given
+    (config, u0, spec, seed).  sampler, if given, is a NoiseSampler of
+    (spec, u0.grid) shared by the trajectories of one worker.
+    """
+
+    def __init__(self, config: SimConfig, u0: FieldState, spec: CovarianceSpec | None,
+                 seed, sampler: NoiseSampler | None = None):
+        self.config = config
+        self.grid = u0.grid
+        self.seed = seed if isinstance(seed, tuple) else int(seed)
+        self._rng = None
+        if config.noise_type != "none":
+            if spec is None:
+                raise ValueError("noise_type set but no covariance spec given")
+            if sampler is None:
+                sampler = NoiseSampler(spec, u0.grid)
+            self._rng = make_rng(*self.seed) if isinstance(seed, tuple) else make_rng(self.seed)
+        self._sampler = sampler
+        self._m0 = mass(u0)
+        self._rows = _tracker_rows(config)
         self.hits = {name: None for name in STOPPING_TIME_NAMES}
-        self._rows = _tracker_rows(cfg)
+        self.samples: list[ObservableSample] = []
+        self.t = 0.0
+        grad0 = self._sample(u0).grad_sq
+        if grad0 >= config.grad_threshold**2:
+            raise ValueError("grad_threshold must exceed the initial gradient norm")
+        self.vals = u0.values
+        self.theta = None
+        self.power = _power(self.vals, config.sigma)
+        self.dt = config.dt0
+        self.step = 0
+        self.grad_ref = max(grad0, 1e-300)
+        self.status: TerminalStatus | None = None
 
-    def update(self, sample: ObservableSample):
+    def _sample(self, u: FieldState) -> ObservableSample:
+        s = observe(u, self.t, self._m0, self.config.alpha_or_zero, self.config.sigma)
+        self.samples.append(s)
         for name, key, cmp, limit in self._rows:
-            if self.hits[name] is None and cmp(getattr(sample, key), limit):
-                self.hits[name] = sample.t
+            if self.hits[name] is None and cmp(getattr(s, key), limit):
+                self.hits[name] = s.t
+        return s
+
+    def _failed(self, time: float, dt: float) -> TerminalStatus:
+        adapt = self.config.adapt
+        reason = "unresolved" if (adapt and dt <= adapt.dt_min) else "overflow"
+        return TerminalStatus("failed", time, reason)
+
+    def state(self) -> FieldState:
+        """The field at time t, with the pending phase applied."""
+        vals = self.vals if self.theta is None else _phase(self.vals, self.theta)
+        return FieldState(self.grid, vals)
+
+    def advance(self) -> bool:
+        """Run the fused loop to the next record or to the end of the path.
+
+        Returns whether the path goes on; once the status is set it stays False.
+        """
+        if self.status is not None:
+            return False
+        cfg, g = self.config, self.grid
+        sigma, t_end, stride = cfg.sigma, cfg.T_end, cfg.record_stride
+        masked = g.dealias_fraction < 1.0
+        multiplicative = cfg.noise_type == "multiplicative"
+        additive = cfg.noise_type == "additive"
+        sampler, rng = self._sampler, self._rng
+        vals, theta, power = self.vals, self.theta, self.power
+        t, dt, step = self.t, self.dt, self.step
+        status = None
+        while t < t_end - 1e-12 * t_end:
+            dt_step = min(dt, t_end - t)
+            try:
+                trailing = theta is not None
+                lead = (dt_step / 2.0) * power  # the leading half step joins the pending phase
+                theta = lead if theta is None else np.add(theta, lead, out=theta)
+                vals = _phase(vals, theta)
+                if trailing and not _finite(vals):  # the state at t was not finite
+                    status = self._failed(t, dt)
+                    break
+                vals, _ = _linear(vals, g, dt_step, masked)
+                power = _power(vals, sigma)
+                theta = (dt_step / 2.0) * power
+                if multiplicative:  # Stratonovich phase: commutes with the trailing half step
+                    theta = np.add(theta, sampler.sample_real(dt_step, rng), out=theta)
+                elif additive:  # not a phase: the trailing half step goes first
+                    vals = _phase(vals, theta) - 1j * sampler.sample_complex(dt_step, rng)
+                    theta = None
+                    power = _power(vals, sigma)
+            except (FloatingPointError, ValueError):
+                status = TerminalStatus("failed", t, "overflow")
+                break
+            t += dt_step
+            step += 1
+            record_now = step % stride == 0 or t >= t_end - 1e-12
+            if record_now and theta is not None:
+                vals = _phase(vals, theta)
+                theta = None
+            if theta is None and not _finite(vals):
+                status = self._failed(t, dt)
+                break
+            if record_now:
+                break
+        else:
+            if theta is not None and not _finite(_phase(vals, theta)):
+                status = self._failed(t, dt)  # a last step that was not recorded
+            else:
+                status = TerminalStatus("survived", t_end)
+        self.vals, self.theta, self.power = vals, theta, power
+        self.t, self.dt, self.step, self.status = t, dt, step, status
+        if status is None:  # stopped at a record: one FieldState serves every check
+            u = self.state()
+            s = self._sample(u)
+            if s.grad_sq >= cfg.grad_threshold**2:
+                self.status = TerminalStatus("blownup", t)
+            elif spectral_tail_fraction(u) > cfg.tail_fraction_max:
+                self.status = TerminalStatus("blownup", t, "spectral tail")
+            elif cfg.adapt is not None and s.grad_sq > cfg.adapt.growth_factor * self.grad_ref:
+                if dt > cfg.adapt.dt_min:
+                    self.dt = max(dt / 2.0, cfg.adapt.dt_min)
+                self.grad_ref = s.grad_sq
+        return self.status is None
+
+    def record(self) -> TrajectoryRecord:
+        """The finished path."""
+        return TrajectoryRecord(samples=self.samples, status=self.status, hit_times=self.hits,
+                                seed=self.seed, dt_final=self.dt)
 
 
 def run_trajectory(config: SimConfig, u0: FieldState, spec: CovarianceSpec | None,
                    seed, sampler: NoiseSampler | None = None) -> TrajectoryRecord:
-    """Integrate one path to T_end, blow-up, or failure.
-
-    Deterministic given (config, u0, spec, seed): the noise stream is a
-    counter-based generator keyed by the seed, so reruns are bitwise identical.
-    sampler, if given, is a NoiseSampler of (spec, u0.grid) shared by the
-    trajectories of one worker; it is built here otherwise.
-    """
-    g = u0.grid
-    rng = None
-    if config.noise_type != "none":
-        if spec is None:
-            raise ValueError("noise_type set but no covariance spec given")
-        if sampler is None:
-            sampler = NoiseSampler(spec, g)
-        if isinstance(seed, tuple):
-            rng = make_rng(seed[0], seed[1])
-        else:
-            rng = make_rng(int(seed), 0)
-
-    m0 = mass(u0)
-    alpha = config.alpha_or_zero
-    sigma = config.sigma
-    trackers = _StoppingTrackers(config)
-    samples: list[ObservableSample] = []
-
-    def record(state, time):
-        s = observe(state, time, m0, alpha, sigma)
-        samples.append(s)
-        trackers.update(s)
-        return s
-
-    grad0 = record(u0, 0.0).grad_sq
-    if grad0 >= config.grad_threshold**2:
-        raise ValueError("grad_threshold must exceed the initial gradient norm")
-
-    nonlinear = not config.disable_nonlinearity
-    masked = nonlinear and g.dealias_fraction < 1.0
-    multiplicative = config.noise_type == "multiplicative"
-    additive = config.noise_type == "additive"
-    # The state is vals * exp(-i theta); theta is None when vals is the state.
-    # power = |vals|^(2 sigma), which the pending phase leaves unchanged.
-    vals = u0.values
-    theta = None
-    power = _power(vals, sigma) if nonlinear else None
-    t = 0.0
-    dt = config.dt0
-    grad_ref = max(grad0, 1e-300)
-    status = None
-    step = 0
-
-    def failed(time):
-        reason = "unresolved" if (config.adapt and dt <= config.adapt.dt_min) else "overflow"
-        return TerminalStatus("failed", time, reason)
-
-    while t < config.T_end - 1e-12 * config.T_end:
-        dt_step = min(dt, config.T_end - t)
-        try:
-            trailing = theta is not None
-            if nonlinear:  # the leading half step joins the pending phase
-                lead = (dt_step / 2.0) * power
-                theta = lead if theta is None else np.add(theta, lead, out=theta)
-            if theta is not None:
-                vals = _phase(vals, theta)
-                if trailing and not _finite(vals):  # the state at t was not finite
-                    status = failed(t)
-                    break
-            vals, _ = _linear(vals, g, dt_step, masked)
-            theta = None
-            if nonlinear:
-                power = _power(vals, sigma)
-                theta = (dt_step / 2.0) * power
-            if multiplicative:  # Stratonovich phase: commutes with the trailing half step
-                dW = sampler.sample_real(dt_step, rng)
-                theta = dW if theta is None else np.add(theta, dW, out=theta)
-            elif additive:
-                if theta is not None:
-                    vals = _phase(vals, theta)
-                    theta = None
-                vals = vals - 1j * sampler.sample_complex(dt_step, rng)
-                if nonlinear:
-                    power = _power(vals, sigma)
-        except (FloatingPointError, ValueError):
-            status = TerminalStatus("failed", t, "overflow")
-            break
-        t += dt_step
-        step += 1
-        record_now = step % config.record_stride == 0 or t >= config.T_end - 1e-12
-        if record_now and theta is not None:
-            vals = _phase(vals, theta)
-            theta = None
-        if theta is None and not _finite(vals):
-            status = failed(t)
-            break
-        if record_now:
-            u = FieldState(g, vals)
-            s = record(u, t)
-            if s.grad_sq >= config.grad_threshold**2:
-                status = TerminalStatus("blownup", t)
-                break
-            if spectral_tail_fraction(u) > config.tail_fraction_max:
-                status = TerminalStatus("blownup", t, "spectral tail")
-                break
-            if config.adapt is not None and s.grad_sq > config.adapt.growth_factor * grad_ref:
-                if dt > config.adapt.dt_min:
-                    dt = max(dt / 2.0, config.adapt.dt_min)
-                grad_ref = s.grad_sq
-    if status is None and theta is not None and not _finite(_phase(vals, theta)):
-        status = failed(t)  # a last step that was not recorded
-    if status is None:
-        status = TerminalStatus("survived", config.T_end)
-    return TrajectoryRecord(samples=samples, status=status, hit_times=trackers.hits,
-                            seed=seed if isinstance(seed, tuple) else int(seed),
-                            dt_final=dt)
+    """Integrate one path to T_end, blow-up, or failure (see Trajectory)."""
+    path = Trajectory(config, u0, spec, seed, sampler)
+    while path.advance():
+        pass
+    return path.record()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SimConfig, TrajectoryRecord, run_trajectory
+from .dynamics import STOPPING_TIME_NAMES, SimConfig, TrajectoryRecord, run_trajectory
 from .grid import GridSpec, mass
 from .ground_state import GroundState
 from .initial_data import InitialData, build_initial_data
@@ -186,8 +186,6 @@ def run_ensemble(cfg: EnsembleConfig, out_dir: str | None = None,
     failed = sum(r.status.kind == "failed" for r in records)
     p_blow = k_blow / cfg.n_traj
     ci_blow = wilson_interval(k_blow, cfg.n_traj)
-    from .dynamics import STOPPING_TIME_NAMES
-
     hstats = {name: hitting_time_stats(records, name, T) for name in STOPPING_TIME_NAMES}
     summary = EnsembleSummary(
         n_traj=cfg.n_traj, master_seed=cfg.master_seed,

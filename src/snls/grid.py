@@ -20,11 +20,9 @@ __all__ = [
     "FieldState",
     "fft_field",
     "ifft_field",
-    "quadrature_lp",
     "mass",
     "gradient_norm_sq",
     "weighted_variance_quadrature",
-    "apply_dealias",
     "boundary_mass_fraction",
     "spectral_tail_fraction",
 ]
@@ -164,8 +162,8 @@ def ifft_field(spectral: np.ndarray) -> np.ndarray:
 class FieldState:
     """Complex field samples on a GridSpec plus a lazily cached spectrum.
 
-    Treated as immutable: stepping and filtering return fresh instances, so
-    states can be shared read-only across trajectory workers.
+    Treated as immutable: stepping returns fresh instances, so states can be
+    shared read-only across trajectory workers.
     """
 
     __slots__ = ("grid", "values", "_spectral")
@@ -184,27 +182,13 @@ class FieldState:
             self._spectral = fft_field(self.values)
         return self._spectral
 
-    def with_values(self, values, spectral=None) -> "FieldState":
-        return FieldState(self.grid, values, spectral)
-
-    @classmethod
-    def from_spectral(cls, grid: GridSpec, spectral) -> "FieldState":
-        spectral = np.asarray(spectral, dtype=np.complex128)
-        return cls(grid, ifft_field(spectral), spectral.copy())
+    def with_values(self, values) -> "FieldState":
+        return FieldState(self.grid, values)
 
 
 def _require_finite(state: FieldState):
     if not np.all(np.isfinite(state.values.view(np.float64))):
         raise ValueError("non-finite field")
-
-
-def quadrature_lp(state: FieldState, p: float) -> float:
-    """L^p norm by grid quadrature: (h^dim * sum |u|^p)^(1/p)."""
-    if not np.isfinite(p) or p < 1:
-        raise ValueError("p must be finite and >= 1")
-    _require_finite(state)
-    s = np.sum(np.abs(state.values) ** p)
-    return float((state.grid.cell_volume * s) ** (1.0 / p))
 
 
 def mass(state: FieldState) -> float:
@@ -223,15 +207,6 @@ def gradient_norm_sq(state: FieldState) -> float:
 def weighted_variance_quadrature(grid: GridSpec, abs2: np.ndarray) -> float:
     """Variance V(u) = integral |x|^2 |u|^2 dx with x in [-L/2, L/2), from abs2 = |u|^2."""
     return float(grid.cell_volume * np.sum(grid.radius_sq * abs2))
-
-
-def apply_dealias(state: FieldState) -> FieldState:
-    """Zero every spectral coefficient outside the retained band (idempotent)."""
-    g = state.grid
-    if g.dealias_fraction >= 1.0:
-        return state
-    spec = state.spectral * g.dealias_mask
-    return FieldState.from_spectral(g, spec)
 
 
 @lru_cache(maxsize=16)

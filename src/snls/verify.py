@@ -21,8 +21,6 @@ from .dynamics import (
     SimConfig,
     _propagator,
     run_trajectory,
-    step_deterministic,
-    step_multiplicative,
 )
 from .ensemble import EnsembleConfig, drift_check, run_ensemble
 from .grid import FieldState, GridSpec, mass
@@ -136,20 +134,18 @@ def check_dealias():
 
 
 def check_mass_conservation(seed=5, n_steps=2000):
+    """The mass drift of the ensembles' integrator over one multiplicative path."""
     gs = solve_ground_state(1, 2.0)
     grid = GridSpec(1, 40.0, 512)
-    u = ground_state_field(gs, grid)
-    u = u.with_values(np.sqrt(0.8) * u.values)
+    q = ground_state_field(gs, grid)
+    u0 = q.with_values(np.sqrt(0.8) * q.values)
     spec = CovarianceSpec("fourier_diagonal", {(0,): 0.1, (1,): 0.1})
-    sampler = NoiseSampler(spec, grid)
-    rng = make_rng(seed, 4)
-    m0 = mass(u)
     dt = 1e-4
-    for _ in range(n_steps):
-        u = step_deterministic(u, dt, 2.0)
-        u = step_multiplicative(u, sampler.sample_real(dt, rng))
-    drift = abs(mass(u) / m0 - 1.0)
-    return drift < 1e-11, f"relative mass drift {drift:.2e} over {n_steps} steps"
+    cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=dt, T_end=n_steps * dt,
+                    grad_threshold=50.0, record_stride=n_steps)
+    rec = run_trajectory(cfg, u0, spec, (seed, 4))
+    drift = abs(rec.samples[-1].mass / rec.samples[0].mass - 1.0)
+    return bool(drift < 1e-11), f"relative mass drift {drift:.2e} over {n_steps} steps"
 
 
 def check_virial(seed=None):

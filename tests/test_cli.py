@@ -201,6 +201,21 @@ def test_config_rejects_unknown_sections():
         })
 
 
+@pytest.mark.parametrize("where, extra, key", [
+    ("run", {"disable_nonlinearity": True}, "disable_nonlinearity"),
+    ("run.adapt", {"adapt": {"growth_factr": 2.0}}, "growth_factr"),
+    ("run.thresholds", {"thresholds": {"delta_mas": 0.9}}, "delta_mas"),
+], ids=["run", "run.adapt", "run.thresholds"])
+def test_config_rejects_unknown_run_keys(tmp_path, capsys, where, extra, key):
+    doc = get_preset("add-critical").to_dict()
+    doc["run"] = {**doc["run"], **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert f"unknown keys in {where}: ['{key}']" in err
+
+
 def test_config_cross_field_validation():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({

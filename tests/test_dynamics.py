@@ -12,6 +12,7 @@ from snls.dynamics import (
     GroundStateRefs,
     SimConfig,
     StoppingThresholds,
+    Trajectory,
     TrajectoryRecord,
     run_trajectory,
     step_additive,
@@ -20,7 +21,7 @@ from snls.dynamics import (
 )
 from snls.initial_data import ground_state_field
 from snls.noise_model import CovarianceSpec, NoiseSampler, make_rng
-from snls.observables import observe
+from snls.observables import observe, sample_values
 
 
 def refs_of(gs):
@@ -329,7 +330,7 @@ def _reference_run(cfg, u0, spec, seed):
     u, t, dt, step = u0, 0.0, cfg.dt0, 0
     while t < cfg.T_end - 1e-12 * cfg.T_end:
         dt_step = min(dt, cfg.T_end - t)
-        u = step_deterministic(u, dt_step, cfg.sigma, skip_nonlinear=cfg.disable_nonlinearity)
+        u = step_deterministic(u, dt_step, cfg.sigma)
         if cfg.noise_type == "multiplicative":
             u = step_multiplicative(u, sampler.sample_real(dt_step, rng))
         elif cfg.noise_type == "additive":
@@ -360,12 +361,10 @@ def _oracle_case(name, gs):
         u0 = q.with_values(1.1 * q.values * np.exp(0.3j * grid.axes[0]))
     elif name == "additive":
         kw.update(noise_type="additive", record_stride=2)
-    elif name == "noise-only":
-        kw.update(disable_nonlinearity=True)
     return SimConfig(**kw), u0, (None if kw["noise_type"] == "none" else mult)
 
 
-@pytest.mark.parametrize("name", ["stride", "clipped", "adapt", "additive", "noise-only"])
+@pytest.mark.parametrize("name", ["stride", "clipped", "adapt", "additive"])
 def test_fused_loop_matches_public_substeps(gs_1d_s2, name):
     cfg, u0, spec = _oracle_case(name, gs_1d_s2)
     rec = run_trajectory(cfg, u0, spec, seed=(5, 2))
@@ -381,6 +380,26 @@ def test_fused_loop_matches_public_substeps(gs_1d_s2, name):
         # lands on it in units of the whole mass
         scale = 1.0 if key == "boundary_mass_fraction" else np.max(np.abs(want))
         assert np.max(np.abs(got[key] - want)) <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("name", ["stride", "adapt", "additive"])
+def test_trajectory_advances_record_by_record(gs_1d_s2, name):
+    cfg, u0, spec = _oracle_case(name, gs_1d_s2)
+    path = Trajectory(cfg, u0, spec, (5, 2))
+    m0 = mass(u0)
+    assert len(path.samples) == 1
+    while path.advance():
+        assert path.samples[-1].t == path.t
+        now = observe(path.state(), path.t, m0, cfg.alpha_or_zero, cfg.sigma)
+        assert sample_values(now) == sample_values(path.samples[-1])
+    assert path.status is not None
+    n_samples = len(path.samples)
+    assert path.advance() is False and path.advance() is False
+    assert len(path.samples) == n_samples
+    rec, direct = path.record(), run_trajectory(cfg, u0, spec, seed=(5, 2))
+    assert [sample_values(s) for s in rec.samples] == [sample_values(s) for s in direct.samples]
+    assert (rec.status, rec.hit_times, rec.dt_final) == (direct.status, direct.hit_times,
+                                                         direct.dt_final)
 
 
 def test_unrecorded_step_transforms(gs_1d_s2, monkeypatch):

@@ -7,11 +7,9 @@ from scipy.integrate import quad
 from snls.grid import (
     FieldState,
     GridSpec,
-    apply_dealias,
     boundary_mass_fraction,
     gradient_norm_sq,
     mass,
-    quadrature_lp,
     spectral_tail_fraction,
     weighted_variance_quadrature,
 )
@@ -32,17 +30,17 @@ def test_grid_validation():
 
 
 def test_quadrature_constant_field():
-    # u == 1 on L = 2 pi: ||u||_L2 = sqrt(2 pi), exact for a constant
+    # u == 1 on L = 2 pi: M(u) = 2 pi, exact for a constant
     for N in (8, 64, 130):
         g = GridSpec(1, 2 * np.pi, N)
         u = FieldState(g, np.ones(N, dtype=complex))
-        assert quadrature_lp(u, 2.0) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
+        assert mass(u) == pytest.approx(2 * np.pi, rel=1e-14)
 
 
 def test_quadrature_zero_field():
     g = GridSpec(1, 10.0, 64)
     u = FieldState(g, np.zeros(64, dtype=complex))
-    assert quadrature_lp(u, 4.0) == 0.0
+    assert mass(u) == 0.0
 
 
 def test_quadrature_sech_vs_quad_oracle():
@@ -50,17 +48,14 @@ def test_quadrature_sech_vs_quad_oracle():
     u = FieldState(g, 1.0 / np.cosh(g.axes[0]))
     oracle = 2.0 * quad(lambda x: 1.0 / np.cosh(x) ** 2, 0, 30, epsabs=1e-14)[0]
     assert oracle == pytest.approx(2.0, abs=1e-12)  # int sech^2 = 2
-    assert quadrature_lp(u, 2.0) == pytest.approx(np.sqrt(oracle), abs=1e-10)
+    assert mass(u) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_quadrature_rejects_bad_input():
     g = GridSpec(1, 10.0, 64)
     u = FieldState(g, np.full(64, np.nan, dtype=complex))
     with pytest.raises(ValueError, match="non-finite"):
-        quadrature_lp(u, 2.0)
-    v = FieldState(g, np.ones(64, dtype=complex))
-    with pytest.raises(ValueError):
-        quadrature_lp(v, 0.5)
+        mass(u)
 
 
 def test_gradient_single_mode():
@@ -120,38 +115,13 @@ def test_variance_translation_rule():
 def test_dealias_band_count_1d():
     # fraction 2/3 on N = 512: mode numbers |k| <= 170 survive, 341 modes
     g = GridSpec(1, 10.0, 512)
-    rng = np.random.default_rng(0)
-    u = FieldState(g, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-    out = apply_dealias(u)
-    kept = np.abs(out.spectral) > 1e-13
+    kept = g.dealias_mask
     k = g.mode_indices[0]
     expected = np.abs(k) <= (2.0 / 3.0) * 256 + 1e-9  # direct enumeration oracle
     assert np.array_equal(kept, expected)
     assert int(kept.sum()) == 341 == (2 * 512) // 3
     # retained set symmetric about 0
     assert np.array_equal(np.sort(k[kept]), -np.sort(-k[kept])[::-1])
-
-
-def test_dealias_idempotent_and_identity():
-    g = GridSpec(1, 10.0, 64)
-    rng = np.random.default_rng(1)
-    u = FieldState(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    once = apply_dealias(u)
-    twice = apply_dealias(once)
-    assert np.allclose(once.values, twice.values, atol=1e-15)
-    g1 = GridSpec(1, 10.0, 64, dealias_fraction=1.0)
-    v = FieldState(g1, u.values)
-    assert apply_dealias(v) is v  # fraction 1 is the identity
-
-
-def test_dealias_band_limited_unchanged():
-    g = GridSpec(1, 10.0, 64)
-    spec = np.zeros(64, dtype=complex)
-    spec[3] = 1.0 + 2.0j
-    spec[-3] = 0.5
-    u = FieldState.from_spectral(g, spec)
-    out = apply_dealias(u)
-    assert np.allclose(out.values, u.values, atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
