@@ -69,7 +69,9 @@ class ExperimentConfig:
             output=dict(d.get("output", {})),
             schema_version=int(d.get("schema_version", SCHEMA_VERSION)),
         )
-        cfg.build_sim_config()  # validate cross-field constraints at load time
+        for name, known_keys in _SECTION_KEYS.items():
+            _reject_unknown(name, getattr(cfg, name), known_keys)
+        cfg.build_sim_config()  # checks the run keys and cross-field constraints
         return cfg
 
     # --- builders -------------------------------------------------------
@@ -133,6 +135,15 @@ class ExperimentConfig:
         return InitialData.from_dict(self.initial_data)
 
 
+_SECTION_KEYS = {
+    "grid": frozenset({"dim", "extent", "points", "dealias_fraction"}),
+    "physics": frozenset({"n", "sigma", "noise_type"}),
+    "covariance": frozenset({"kind", "scale", "amplitudes", "strength", "width", "k_max",
+                             "profile", "amplitude"}),
+    "initial_data": frozenset({"family", "params"}),
+    "ensemble": frozenset({"n_traj", "master_seed"}),
+    "output": frozenset({"gzip"}),
+}
 _RUN_KEYS = frozenset({"dt", "T_end", "grad_threshold", "record_stride", "adapt", "thresholds",
                        "tail_fraction_max", "allow_conditional_regime"})
 _ADAPT_KEYS = frozenset({"enabled", "growth_factor", "dt_min"})

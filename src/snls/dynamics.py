@@ -27,13 +27,17 @@ a.s. mass conservation of the Stratonovich equation.  They leave |u|
 unchanged and therefore commute: a Trajectory carries the post-linear field
 w and fuses the trailing half step, the noise phase and the next leading half
 step into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s.  A step is then
-one FFT pair, one evaluation of P and one complex exponential.  A FieldState
-is built only at record times, where the pending phase is applied to give u;
-the observables and the spectral-tail check share it, and the next leading
-half step uses the dt chosen after the adaptive check.  The additive substep
-is not a phase, so there the trailing half step is applied before it on every
-step.  step_deterministic is the same Strang step on a FieldState, built from
-the same phase and propagator helpers.
+one FFT pair, one evaluation of P and one complex exponential; P takes
+repeated products of |w|^2 for an integer sigma (grid.abs2_power).  The
+additive substep is not a phase, so there the trailing half step is applied
+before it on every step.  step_deterministic is the same Strang step on a
+FieldState, built from the same phase and propagator helpers.
+
+A record adds one sync phase, which applies the pending phase to give u as a
+FieldState, and then observe(u) and the spectral-tail check on that one
+state: one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and
+the tail check, and one inverse FFT per axis for the momentum.  The next
+leading half step uses the dt chosen after the adaptive check.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FieldState, GridSpec, fft_field, ifft_field, mass, spectral_tail_fraction
+from .grid import (FieldState, GridSpec, abs2_power, fft_field, ifft_field, mass,
+                   spectral_tail_fraction)
 from .ground_state import GroundState
 from .noise_model import CovarianceSpec, NoiseSampler, make_rng
 from .observables import SAMPLE_KEYS, ObservableSample, observe, sample_values
@@ -203,9 +208,8 @@ class TrajectoryRecord:
 
 
 def _power(values: np.ndarray, sigma: float) -> np.ndarray:
-    # |u|^(2 sigma) as exp(sigma log |u|^2) with a floor, robust for fractional sigma
-    abs2 = np.maximum(values.real**2 + values.imag**2, 1e-300)
-    return np.exp(sigma * np.log(abs2))
+    """|u|^(2 sigma) of the field values."""
+    return abs2_power(values.real**2 + values.imag**2, sigma)
 
 
 def _phase(values: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ __all__ = [
     "fft_field",
     "ifft_field",
     "mass",
+    "abs2_power",
     "gradient_norm_sq",
     "weighted_variance_quadrature",
     "boundary_mass_fraction",
@@ -160,13 +161,13 @@ def ifft_field(spectral: np.ndarray) -> np.ndarray:
 
 
 class FieldState:
-    """Complex field samples on a GridSpec plus a lazily cached spectrum.
+    """Complex field samples on a GridSpec plus a lazily cached spectrum and |uhat|^2.
 
     Treated as immutable: stepping returns fresh instances, so states can be
     shared read-only across trajectory workers.
     """
 
-    __slots__ = ("grid", "values", "_spectral")
+    __slots__ = ("grid", "values", "_spectral", "_spectral_abs2")
 
     def __init__(self, grid: GridSpec, values, spectral=None):
         values = np.asarray(values, dtype=np.complex128)
@@ -175,12 +176,20 @@ class FieldState:
         self.grid = grid
         self.values = values
         self._spectral = spectral
+        self._spectral_abs2 = None
 
     @property
     def spectral(self):
         if self._spectral is None:
             self._spectral = fft_field(self.values)
         return self._spectral
+
+    @property
+    def spectral_abs2(self):
+        """|uhat|^2, shared by the gradient norm and the spectral-tail check."""
+        if self._spectral_abs2 is None:
+            self._spectral_abs2 = np.abs(self.spectral) ** 2
+        return self._spectral_abs2
 
     def with_values(self, values) -> "FieldState":
         return FieldState(self.grid, values)
@@ -197,16 +206,32 @@ def mass(state: FieldState) -> float:
     return float(state.grid.cell_volume * np.sum(np.abs(state.values) ** 2))
 
 
+def abs2_power(abs2: np.ndarray, sigma: float) -> np.ndarray:
+    """|u|^(2 sigma) from abs2 = |u|^2.
+
+    An integer sigma >= 1 takes repeated products (abs2 itself when sigma is
+    1).  Any other sigma takes exp(sigma log abs2) with abs2 floored at 1e-300,
+    so a zero field has a finite logarithm.
+    """
+    k = int(sigma)
+    if k == sigma and k >= 1:
+        out = abs2
+        for _ in range(k - 1):
+            out = out * abs2
+        return out
+    return np.exp(sigma * np.log(np.maximum(abs2, 1e-300)))
+
+
 def gradient_norm_sq(state: FieldState) -> float:
     """||grad u||_{L^2}^2 via the spectral symbol |xi|^2."""
     g = state.grid
-    uh2 = np.abs(state.spectral) ** 2
-    return float(g.cell_volume / g.total_points * np.sum(g.laplacian_symbol * uh2))
+    return float(g.cell_volume / g.total_points
+                 * (g.laplacian_symbol * state.spectral_abs2).sum())
 
 
 def weighted_variance_quadrature(grid: GridSpec, abs2: np.ndarray) -> float:
     """Variance V(u) = integral |x|^2 |u|^2 dx with x in [-L/2, L/2), from abs2 = |u|^2."""
-    return float(grid.cell_volume * np.sum(grid.radius_sq * abs2))
+    return float(grid.cell_volume * (grid.radius_sq * abs2).sum())
 
 
 @lru_cache(maxsize=16)
@@ -242,7 +267,7 @@ def boundary_mass_fraction(grid: GridSpec, abs2: np.ndarray, total: float,
     """
     if total == 0.0:
         return 0.0
-    return float(np.sum(abs2[_outer_mask(grid, shell)]) / total)
+    return float(abs2[_outer_mask(grid, shell)].sum() / total)
 
 
 def spectral_tail_fraction(state: FieldState, inner: float = 0.75) -> float:
@@ -252,8 +277,8 @@ def spectral_tail_fraction(state: FieldState, inner: float = 0.75) -> float:
     band limit.  A large value means the collapse is no longer resolved.
     """
     g = state.grid
-    uh2 = np.abs(state.spectral) ** 2
-    total = np.sum(uh2[g.dealias_mask])
+    uh2 = state.spectral_abs2
+    total = uh2[g.dealias_mask].sum()
     if total == 0.0:
         return 0.0
-    return float(np.sum(uh2[_tail_mask(g, inner)]) / total)
+    return float(uh2[_tail_mask(g, inner)].sum() / total)

@@ -123,13 +123,12 @@ def _draw_coefficient(dist, rng):
     raise ValueError(f"unknown coefficient distribution {kind!r}")
 
 
-def coefficient_moment(dist, q: float, n_quad: int = 400) -> float:
-    """E(c^q) for the declared scalar distribution, by deterministic quadrature."""
+def coefficient_moment(dist, q: float) -> float:
+    """E(c^q) for the declared scalar distribution, in closed form."""
     kind = dist.get("kind", "uniform")
     if kind == "uniform":
         lo, hi = float(dist["lo"]), float(dist["hi"])
-        x = np.linspace(lo, hi, n_quad)
-        return float(np.trapezoid(x**q, x) / (hi - lo))
+        return (hi ** (q + 1.0) - lo ** (q + 1.0)) / ((q + 1.0) * (hi - lo))
     if kind == "lognormal":
         mu, s = float(dist.get("mu", 0.0)), float(dist.get("sigma", 0.1))
         return float(np.exp(q * mu + 0.5 * q**2 * s**2))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -214,6 +215,21 @@ def test_config_rejects_unknown_run_keys(tmp_path, capsys, where, extra, key):
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
     assert (code, out) == (1, "")
     assert f"unknown keys in {where}: ['{key}']" in err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("grid", "dealias_fracton"),
+    ("physics", "noise_typ"),
+    ("initial_data", "parms"),
+    ("covariance", "amplitude_s"),
+    ("ensemble", "n_trajs"),
+    ("output", "gzp"),
+], ids=["grid", "physics", "initial_data", "covariance", "ensemble", "output"])
+def test_config_rejects_unknown_section_keys(section, key):
+    doc = get_preset("add-mass-drift").to_dict()
+    doc[section] = {**doc[section], key: 0.5}
+    with pytest.raises(ValueError, match=re.escape(f"unknown keys in {section}: ['{key}']")):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_config_cross_field_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from snls.config import ensemble_config
 from snls.ensemble import run_ensemble
-from snls.grid import FieldState, GridSpec, mass
+from snls.grid import FieldState, GridSpec, mass, spectral_tail_fraction
 from snls.presets import get_preset
 from snls.dynamics import (
     AdaptSpec,
@@ -402,7 +402,8 @@ def test_trajectory_advances_record_by_record(gs_1d_s2, name):
                                                          direct.dt_final)
 
 
-def test_unrecorded_step_transforms(gs_1d_s2, monkeypatch):
+def _transform_counts(gs, monkeypatch, record_stride):
+    """Field and sampler transforms of 10- and 20-step multiplicative paths."""
     import numpy.fft
     import scipy.fft
 
@@ -420,19 +421,48 @@ def test_unrecorded_step_transforms(gs_1d_s2, monkeypatch):
         for name in ("irfft", "irfftn"):
             monkeypatch.setattr(mod, name, counting("sampler", getattr(mod, name)))
     grid = GridSpec(1, 20.0, 256)
-    q = ground_state_field(gs_1d_s2, grid)
+    q = ground_state_field(gs, grid)
     spec = CovarianceSpec("fourier_diagonal", {(1,): 0.2})
     counts = []
     for n_steps in (10, 20):
         cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3,
-                        T_end=n_steps * 1e-3, grad_threshold=1e3, record_stride=1000,
-                        gs_refs=refs_of(gs_1d_s2))
+                        T_end=n_steps * 1e-3, grad_threshold=1e3, record_stride=record_stride,
+                        gs_refs=refs_of(gs))
         calls.update(field=0, sampler=0)
         rec = run_trajectory(cfg, q.with_values(q.values), spec, seed=(1, 0))  # no cached spectrum
-        assert len(rec.samples) == 2  # t = 0 and T_end only
-        counts.append(dict(calls))
-    assert counts[1]["field"] - counts[0]["field"] == 2 * 10
-    assert counts[1]["sampler"] - counts[0]["sampler"] == 10
+        assert rec.status.kind == "survived"
+        counts.append((dict(calls), len(rec.samples)))
+    return counts
+
+
+def test_unrecorded_step_transforms(gs_1d_s2, monkeypatch):
+    counts = _transform_counts(gs_1d_s2, monkeypatch, record_stride=1000)
+    assert [n for _, n in counts] == [2, 2]  # t = 0 and T_end only
+    (first, _), (second, _) = counts
+    assert second["field"] - first["field"] == 2 * 10
+    assert second["sampler"] - first["sampler"] == 10
+
+
+def test_recorded_step_transforms(gs_1d_s2, monkeypatch):
+    # a recorded step adds one FFT for uhat, shared by the gradient norm and
+    # the tail check, and one inverse FFT for the momentum
+    import snls.dynamics
+
+    tail_checks = []
+
+    def tail_check(state, *args):
+        cached = state._spectral_abs2
+        out = spectral_tail_fraction(state, *args)
+        tail_checks.append(cached is not None and state._spectral_abs2 is cached)
+        return out
+
+    monkeypatch.setattr(snls.dynamics, "spectral_tail_fraction", tail_check)
+    counts = _transform_counts(gs_1d_s2, monkeypatch, record_stride=1)
+    assert [n for _, n in counts] == [11, 21]
+    (first, _), (second, _) = counts
+    assert second["field"] - first["field"] == 4 * 10
+    assert second["sampler"] - first["sampler"] == 10
+    assert len(tail_checks) == 30 and all(tail_checks)
 
 
 def test_sample_arrays_match_to_dict(gs_1d_s2):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snls.grid import FieldState, GridSpec, mass
+from snls.grid import FieldState, GridSpec, abs2_power, mass
 from snls.initial_data import ground_state_field
 from snls.observables import classify_dichotomy, momentum, observe
 from snls.verify import random_smooth_field
+
+ORACLE_GRIDS = [GridSpec(1, 25.0, 128), GridSpec(2, 20.0, 32), GridSpec(3, 16.0, 16)]
+ORACLE_SIGMAS = [1.0, 2.0, 3.0, 2.0 / 3.0, 1.3]
 
 
 def test_ground_state_observables(gs_1d_s2, q_field):
@@ -123,3 +126,65 @@ def test_classify_blowup_side(gs_1d_s3):
     assert rep.regime == "blow-up-side"
     assert rep.beta < 1.0 < rep.delta0
 
+
+
+def _reference_observe(u, m0, alpha, sigma):
+    """observe written out with plain numpy: |u|^2 by abs, |u|^(2 sigma + 2) by a
+    float power, the momentum through conj, one FFT per functional."""
+    g = u.grid
+    h = g.cell_volume
+    abs2 = np.abs(u.values) ** 2
+    total = np.sum(abs2)
+    p = 2.0 * sigma + 2.0
+    lp2s2 = h * np.sum(abs2 ** (sigma + 1.0))
+    uh = np.fft.fftn(u.values)
+    grad_sq = h / g.total_points * np.sum(g.laplacian_symbol * np.abs(uh) ** 2)
+    energy = 0.5 * grad_sq - lp2s2 / p
+    acc = 0.0
+    for x, xi in zip(g.coords, g.wavenumber_mesh):
+        du = np.fft.ifftn(1j * xi * uh)
+        acc += np.sum(x * np.imag(u.values * np.conj(du)))
+    outer = np.zeros(g.shape, dtype=bool)
+    for x, L in zip(g.coords, g.extent):
+        outer |= np.abs(x) > 0.9 * (L / 2.0)
+    variance = h * np.sum(g.radius_sq * abs2)
+    return {
+        "mass": h * total, "energy": energy, "grad_sq": grad_sq, "lp2s2": lp2s2,
+        "variance": variance, "momentum": h * acc,
+        "X": math.sqrt(grad_sq) * m0 ** (alpha / 2.0), "me_product": energy * m0**alpha,
+        "boundary_mass_fraction": np.sum(abs2[outer]) / total,
+        # natural scales of the signed or cancelling values: the two energy
+        # terms, the Cauchy-Schwarz bound |G| <= ||x u|| ||grad u||, a mass share
+        "scale_energy": 0.5 * grad_sq + lp2s2 / p,
+        "scale_momentum": math.sqrt(variance * grad_sq),
+    }
+
+
+@pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "3d"])
+def test_observe_matches_reference_formulas(grid, sigma):
+    u = random_smooth_field(grid, np.random.default_rng(17))
+    m0, alpha = 1.7, 0.5
+    s = observe(u, 0.25, m0, alpha, sigma)
+    ref = _reference_observe(u, m0, alpha, sigma)
+    scales = {"energy": ref["scale_energy"], "me_product": ref["scale_energy"] * m0**alpha,
+              "momentum": ref["scale_momentum"], "boundary_mass_fraction": 1.0}
+    assert s.t == 0.25
+    for key in ("mass", "energy", "grad_sq", "lp2s2", "variance", "momentum", "X",
+                "me_product", "boundary_mass_fraction"):
+        scale = scales.get(key, abs(ref[key]))
+        assert abs(getattr(s, key) - ref[key]) <= 1e-13 * scale, key
+
+
+@pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "3d"])
+def test_abs2_power_matches_exp_log(grid, sigma):
+    u = random_smooth_field(grid, np.random.default_rng(5)).values
+    abs2 = u.real**2 + u.imag**2
+    abs2[0] = 0.0  # the floor keeps log finite
+    exp_log = np.exp(sigma * np.log(np.maximum(abs2, 1e-300)))
+    got = abs2_power(abs2, sigma)
+    if sigma == int(sigma):
+        assert np.max(np.abs(got - exp_log)) <= 1e-14 * np.max(exp_log)
+    else:  # a fractional power is the exp-log form itself
+        assert np.array_equal(got, exp_log)

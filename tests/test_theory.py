@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from snls.ground_state import solve_ground_state
+from snls.initial_data import coefficient_moment
 from snls.noise_model import CovarianceSpec, noise_constants
 from snls.grid import GridSpec
 from snls.theory import (
@@ -167,6 +169,14 @@ def test_mass_moment_bound_examples():
         mass_moment_bound(1.0, 4.0, 1.0, 0.5, 0.3)
     with pytest.raises(ValueError):
         mass_moment_bound(2.0, 4.0, 1.0, 0.5, 1.5)
+
+
+def test_uniform_coefficient_moment_is_exact():
+    # E(c^12) for c ~ U[0.5, 0.9], integrated exactly in rationals
+    lo, hi = Fraction(1, 2), Fraction(9, 10)
+    exact = float((hi**13 - lo**13) / (13 * (hi - lo)))
+    got = coefficient_moment({"kind": "uniform", "lo": 0.5, "hi": 0.9}, 12.0)
+    assert got == pytest.approx(exact, rel=1e-14)
 
 
 def test_mass_sup_moment_jensen_extension():
