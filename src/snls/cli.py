@@ -16,8 +16,7 @@ from .config import ExperimentConfig, ensemble_config, load_config, materialize
 from .dynamics import run_trajectory
 from .ensemble import compare_with_theory, drift_check, run_ensemble
 from .ground_state import GroundStateError, energy_three_ways, solve_ground_state
-from .initial_data import build_initial_data
-from .noise_model import make_rng
+from .initial_data import initial_state
 from .observables import classify_dichotomy
 from .report import build_theory_report
 from .schema import plain
@@ -74,8 +73,7 @@ def cmd_theory(args):
 def cmd_simulate(args):
     cfg = _resolve_config(args)
     grid, gs, sim, cov, init, chash = materialize(cfg)
-    rng = make_rng(args.seed, 0) if init.is_random else None
-    u0 = build_initial_data(init, grid, gs, rng)
+    u0 = initial_state(init, grid, gs, args.seed, 0)
     rec = run_trajectory(sim, u0, cov, seed=(args.seed, 0))
     rec.config_hash = chash
     doc = rec.to_summary_dict()

@@ -17,7 +17,7 @@ from .dynamics import AdaptSpec, GroundStateRefs, SimConfig, StoppingThresholds
 from .ensemble import EnsembleConfig
 from .grid import GridSpec
 from .ground_state import solve_ground_state
-from .initial_data import InitialData
+from .initial_data import FAMILY_PARAMS, InitialData
 from .noise_model import CovarianceSpec, gaussian_spectrum_amplitudes
 
 __all__ = ["ExperimentConfig", "config_hash", "materialize", "ensemble_config",
@@ -71,6 +71,11 @@ class ExperimentConfig:
         )
         for name, known_keys in _SECTION_KEYS.items():
             _reject_unknown(name, getattr(cfg, name), known_keys)
+        family = cfg.initial_data.get("family")
+        if family not in FAMILY_PARAMS:
+            raise ValueError(f"unknown initial-data family {family!r}")
+        _reject_unknown("initial_data.params", cfg.initial_data.get("params", {}),
+                        FAMILY_PARAMS[family])
         cfg.build_sim_config()  # checks the run keys and cross-field constraints
         return cfg
 

@@ -1,9 +1,26 @@
-"""Single-trajectory time integration.
+"""Time integration of a batch of trajectories, one path per row.
 
-A Trajectory owns one path: its field, its noise stream, its samples and its
-stopping-time hits.  advance() runs the loop to the next record, state() is
-the field at the current time and record() the finished path;
-run_trajectory builds one and advances it to the end.
+A Trajectory advances B paths together as one (B, *grid) array: advance()
+steps every live row to the next record, state(row) is a row's field at its
+time t and record(row) its path; run_trajectory is a batch of one.  All live
+rows step in lock-step by step count, so each phase, power and FFT pair of a
+step is taken once over the batch, on the grid axes only.
+
+Everything a path depends on is kept per row, so a row's record is bitwise
+the one it gets alone, in any batch and on any number of workers:
+
+  * its own Philox noise stream, keyed by its seed; a noise draw reads each
+    row's normals from its own stream and runs one inverse FFT over all rows;
+  * its own t, dt and step decisions: the linear propagator is looked up per
+    dt and stacked when rows differ (adaptive halving, a clipped last step);
+  * its own trackers, samples and status.  A row that is not finite, blows
+    up, shows a spectral tail or reaches T_end stops alone, and the field
+    arrays are compacted to the rows that go on;
+  * reductions run row by row: a.reshape(B, -1).sum(axis=1) sums each row
+    exactly as the row alone, and the boundary and tail fractions gather
+    their points with np.take, whose C-ordered (B, k) result keeps that
+    property (a boolean gather a[:, mask] is F-ordered, and its row sums
+    differ from a[i][mask].sum()).  Nothing reduces through BLAS.
 
 One step advances the Strang-split deterministic core and then the noise
 substep.  Sign conventions follow the dynamics  i u_t - (Lap u + |u|^2s u) = 0,
@@ -24,20 +41,22 @@ separate filtering pass follows the trailing half step.
 The phase substeps are pointwise unimodular multiplications, so the discrete
 mass is conserved to rounding, which is the structural counterpart of the
 a.s. mass conservation of the Stratonovich equation.  They leave |u|
-unchanged and therefore commute: a Trajectory carries the post-linear field
-w and fuses the trailing half step, the noise phase and the next leading half
-step into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s.  A step is then
-one FFT pair, one evaluation of P and one complex exponential; P takes
-repeated products of |w|^2 for an integer sigma (grid.abs2_power).  The
-additive substep is not a phase, so there the trailing half step is applied
-before it on every step.  step_deterministic is the same Strang step on a
-FieldState, built from the same phase and propagator helpers.
+unchanged and therefore commute: a row carries the post-linear field w and
+fuses the trailing half step, the noise phase and the next leading half step
+into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s, pending until the
+next step or record.  A step is then one FFT pair, one evaluation of P and
+one complex exponential; P takes repeated products of |w|^2 for an integer
+sigma (grid.abs2_power).  The additive substep is not a phase, so there the
+trailing half step is applied before it on every step.  step_deterministic
+is the same Strang step on a FieldState, built from the same phase and
+propagator helpers.
 
-A record adds one sync phase, which applies the pending phase to give u as a
-FieldState, and then observe(u) and the spectral-tail check on that one
-state: one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and
-the tail check, and one inverse FFT per axis for the momentum.  The next
-leading half step uses the dt chosen after the adaptive check.
+A record syncs the pending phase of the rows that record and observes them
+as one batch state (observables.observe_rows): one |u|^2, one FFT and one
+|uhat|^2 shared by the gradient norm and the tail check, and one inverse FFT
+per axis for the momentum.  The next leading half step uses the dt chosen
+after the adaptive check.  Overflow is not an error inside the loop: it
+makes the row's field non-finite, and the finiteness checks end that row.
 """
 
 from __future__ import annotations
@@ -49,10 +68,10 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (FieldState, GridSpec, abs2_power, fft_field, ifft_field, mass,
-                   spectral_tail_fraction)
+                   tail_fraction_rows)
 from .ground_state import GroundState
 from .noise_model import CovarianceSpec, NoiseSampler, make_rng
-from .observables import SAMPLE_KEYS, ObservableSample, observe, sample_values
+from .observables import SAMPLE_KEYS, observe_rows, sample_values
 
 __all__ = [
     "AdaptSpec",
@@ -232,11 +251,11 @@ def _propagator(grid: GridSpec, dt: float, masked: bool) -> np.ndarray:
     return prop
 
 
-def _linear(values: np.ndarray, grid: GridSpec, dt: float, masked: bool):
-    """The linear full step: (new values, their spectrum)."""
-    spec = fft_field(values)
-    spec *= _propagator(grid, dt, masked)
-    return ifft_field(spec), spec
+def _linear(values: np.ndarray, grid: GridSpec, prop: np.ndarray):
+    """The linear full step over the grid axes: (new values, their spectrum)."""
+    spec = fft_field(values, grid.dim)
+    spec *= prop
+    return ifft_field(spec, grid.dim), spec
 
 
 def step_deterministic(u: FieldState, dt: float, sigma: float,
@@ -246,9 +265,9 @@ def step_deterministic(u: FieldState, dt: float, sigma: float,
         raise ValueError("dt must be positive")
     g = u.grid
     if skip_nonlinear:
-        return FieldState(g, *_linear(u.values, g, dt, masked=False))
+        return FieldState(g, *_linear(u.values, g, _propagator(g, dt, False)))
     vals = _phase(u.values, (dt / 2.0) * _power(u.values, sigma))
-    vals, _ = _linear(vals, g, dt, masked=g.dealias_fraction < 1.0)
+    vals, _ = _linear(vals, g, _propagator(g, dt, g.dealias_fraction < 1.0))
     return FieldState(g, _phase(vals, (dt / 2.0) * _power(vals, sigma)))
 
 
@@ -265,8 +284,9 @@ def step_additive(u: FieldState, dW: np.ndarray) -> FieldState:
     return u.with_values(u.values - 1j * np.asarray(dW, dtype=complex))
 
 
-def _finite(values: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(values.view(np.float64))))
+def _finite_rows(values: np.ndarray) -> np.ndarray:
+    """Whether each row of a (B, *grid) batch is finite."""
+    return np.isfinite(values.view(np.float64)).reshape(len(values), -1).all(axis=1)
 
 
 def _square(x):
@@ -298,141 +318,207 @@ def _tracker_rows(cfg: SimConfig) -> list:
 
 
 class Trajectory:
-    """One path of the fused integrator, advanced from record to record.
+    """B paths of the fused integrator, one per row, advanced in lock-step.
 
-    The state at time t is vals * exp(-i theta), theta None when vals is the
-    state; power = |vals|^(2 sigma) is unchanged by the pending phase.  The
-    noise stream is keyed by the seed, so a path is deterministic given
-    (config, u0, spec, seed).  sampler, if given, is a NoiseSampler of
-    (spec, u0.grid) shared by the trajectories of one worker.
+    Row i starts from u0s[i] and draws its noise from the stream keyed by
+    seeds[i], so each path is deterministic given (config, u0, spec, seed)
+    and does not depend on the other rows.  sampler, if given, is a
+    NoiseSampler of (spec, grid); it holds no per-path state.
+
+    t, dt and grad_ref are per-row Python floats, so a row's time arithmetic
+    is that of a path alone.  The field arrays hold the rows that go on, in
+    the order of `live`: a row's state is vals * exp(-i theta) when it is
+    pending and vals otherwise, and power = |vals|^(2 sigma) is unchanged by
+    the pending phase.
     """
 
-    def __init__(self, config: SimConfig, u0: FieldState, spec: CovarianceSpec | None,
-                 seed, sampler: NoiseSampler | None = None):
+    def __init__(self, config: SimConfig, u0s, spec: CovarianceSpec | None, seeds,
+                 sampler: NoiseSampler | None = None):
+        if len(u0s) != len(seeds) or not u0s:
+            raise ValueError("need one seed per initial state, and at least one")
         self.config = config
-        self.grid = u0.grid
-        self.seed = seed if isinstance(seed, tuple) else int(seed)
-        self._rng = None
+        self.grid = g = u0s[0].grid
+        self.seeds = [s if isinstance(s, tuple) else int(s) for s in seeds]
+        self._rngs = []
         if config.noise_type != "none":
             if spec is None:
                 raise ValueError("noise_type set but no covariance spec given")
             if sampler is None:
-                sampler = NoiseSampler(spec, u0.grid)
-            self._rng = make_rng(*self.seed) if isinstance(seed, tuple) else make_rng(self.seed)
+                sampler = NoiseSampler(spec, g)
+            self._rngs = [make_rng(*s) if isinstance(s, tuple) else make_rng(s)
+                          for s in self.seeds]
         self._sampler = sampler
-        self._m0 = mass(u0)
-        self._rows = _tracker_rows(config)
-        self.hits = {name: None for name in STOPPING_TIME_NAMES}
-        self.samples: list[ObservableSample] = []
-        self.t = 0.0
-        grad0 = self._sample(u0).grad_sq
-        if grad0 >= config.grad_threshold**2:
-            raise ValueError("grad_threshold must exceed the initial gradient norm")
-        self.vals = u0.values
-        self.theta = None
-        self.power = _power(self.vals, config.sigma)
-        self.dt = config.dt0
+        n = len(u0s)
+        self._m0 = [mass(u) for u in u0s]
+        self._trackers = _tracker_rows(config)
+        self._hits = [dict.fromkeys(STOPPING_TIME_NAMES) for _ in range(n)]
+        self._samples = [[] for _ in range(n)]
+        self._status: list[TerminalStatus | None] = [None] * n
+        self.t = [0.0] * n
+        self.dt = [config.dt0] * n
         self.step = 0
-        self.grad_ref = max(grad0, 1e-300)
-        self.status: TerminalStatus | None = None
+        self.live = list(range(n))
+        vals = np.stack([u.values for u in u0s])
+        spectra = fft_field(vals, g.dim)
+        for row, u in enumerate(u0s):  # a spectrum the caller attached is the one observed
+            if u._spectral is not None:
+                spectra[row] = u._spectral
+        grad0 = [s.grad_sq for s in self._sample(FieldState(g, vals, spectra), self.live)]
+        if any(x >= config.grad_threshold**2 for x in grad0):
+            raise ValueError("grad_threshold must exceed the initial gradient norm")
+        self.grad_ref = [max(x, 1e-300) for x in grad0]
+        self._vals, self._theta = vals, np.zeros(vals.shape)
+        self._pending = [False] * n
+        self._power = _power(vals, config.sigma)
 
-    def _sample(self, u: FieldState) -> ObservableSample:
-        s = observe(u, self.t, self._m0, self.config.alpha_or_zero, self.config.sigma)
-        self.samples.append(s)
-        for name, key, cmp, limit in self._rows:
-            if self.hits[name] is None and cmp(getattr(s, key), limit):
-                self.hits[name] = s.t
-        return s
+    def _sample(self, u: FieldState, rows: list) -> list:
+        """Observe u, the states of `rows` at their times, and update their trackers."""
+        samples = observe_rows(u, [self.t[row] for row in rows], [self._m0[row] for row in rows],
+                               self.config.alpha_or_zero, self.config.sigma)
+        for row, s in zip(rows, samples):
+            self._samples[row].append(s)
+            hits = self._hits[row]
+            for name, key, cmp, limit in self._trackers:
+                if hits[name] is None and cmp(getattr(s, key), limit):
+                    hits[name] = s.t
+        return samples
 
-    def _failed(self, time: float, dt: float) -> TerminalStatus:
+    def _record(self, u: FieldState, rows: list):
+        """Sample `rows` (u holds their states) and run the checks made at a record:
+        blow-up, spectral tail and the adaptive dt."""
+        cfg = self.config
+        for row, s, tail in zip(rows, self._sample(u, rows), tail_fraction_rows(u)):
+            if s.grad_sq >= cfg.grad_threshold**2:
+                self._status[row] = TerminalStatus("blownup", s.t)
+            elif tail > cfg.tail_fraction_max:
+                self._status[row] = TerminalStatus("blownup", s.t, "spectral tail")
+            elif cfg.adapt is not None and s.grad_sq > cfg.adapt.growth_factor * self.grad_ref[row]:
+                if self.dt[row] > cfg.adapt.dt_min:
+                    self.dt[row] = max(self.dt[row] / 2.0, cfg.adapt.dt_min)
+                self.grad_ref[row] = s.grad_sq
+
+    def _fail(self, row: int):
+        """End a row as failed at its current t."""
         adapt = self.config.adapt
-        reason = "unresolved" if (adapt and dt <= adapt.dt_min) else "overflow"
-        return TerminalStatus("failed", time, reason)
+        reason = "unresolved" if (adapt and self.dt[row] <= adapt.dt_min) else "overflow"
+        self._status[row] = TerminalStatus("failed", self.t[row], reason)
 
-    def state(self) -> FieldState:
-        """The field at time t, with the pending phase applied."""
-        vals = self.vals if self.theta is None else _phase(self.vals, self.theta)
+    def _compact(self):
+        """Drop the rows whose status is set from the live arrays."""
+        keep = [self._status[row] is None for row in self.live]
+        if all(keep):
+            return
+        self.live = [row for row, k in zip(self.live, keep) if k]
+        self._pending = [p for p, k in zip(self._pending, keep) if k]
+        self._rngs = [rng for rng, k in zip(self._rngs, keep) if k]
+        self._vals, self._theta, self._power = (
+            self._vals[keep], self._theta[keep], self._power[keep])
+
+    def state(self, row: int) -> FieldState:
+        """The field of a live row at its time t, with the pending phase applied."""
+        pos = self.live.index(row)
+        vals = self._vals[pos]
+        if self._pending[pos]:
+            vals = _phase(vals, self._theta[pos])
         return FieldState(self.grid, vals)
 
     def advance(self) -> bool:
-        """Run the fused loop to the next record or to the end of the path.
+        """Step every live row until some row records or every row has ended.
 
-        Returns whether the path goes on; once the status is set it stays False.
+        Returns whether any row goes on; once every status is set it stays False.
         """
-        if self.status is not None:
-            return False
         cfg, g = self.config, self.grid
         sigma, t_end, stride = cfg.sigma, cfg.T_end, cfg.record_stride
         masked = g.dealias_fraction < 1.0
-        multiplicative = cfg.noise_type == "multiplicative"
-        additive = cfg.noise_type == "additive"
-        sampler, rng = self._sampler, self._rng
-        vals, theta, power = self.vals, self.theta, self.power
-        t, dt, step = self.t, self.dt, self.step
-        status = None
-        while t < t_end - 1e-12 * t_end:
-            dt_step = min(dt, t_end - t)
-            try:
-                trailing = theta is not None
-                lead = (dt_step / 2.0) * power  # the leading half step joins the pending phase
-                theta = lead if theta is None else np.add(theta, lead, out=theta)
-                vals = _phase(vals, theta)
-                if trailing and not _finite(vals):  # the state at t was not finite
-                    status = self._failed(t, dt)
-                    break
-                vals, _ = _linear(vals, g, dt_step, masked)
+        column = (-1,) + (1,) * g.dim  # a per-row scalar against the grid axes
+        with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails alone
+            while self.live:
+                live, pending = self.live, self._pending
+                n = len(live)
+                ended = [pos for pos, row in enumerate(live)
+                         if not self.t[row] < t_end - 1e-12 * t_end]
+                for pos in ended:  # survived, or failed after an unrecorded last step
+                    row = live[pos]
+                    if pending[pos] and not _finite_rows(
+                            _phase(self._vals[pos:pos + 1], self._theta[pos:pos + 1]))[0]:
+                        self._fail(row)
+                    else:
+                        self._status[row] = TerminalStatus("survived", t_end)
+                if ended:
+                    self._compact()
+                    continue
+                steps = [min(self.dt[row], t_end - self.t[row]) for row in live]
+                if steps.count(steps[0]) == n:  # a Python float keeps numpy's fast loops
+                    half, prop = steps[0] / 2.0, _propagator(g, steps[0], masked)
+                else:  # rows on different dt: adaptive halving or a clipped last step
+                    half = np.array([d / 2.0 for d in steps]).reshape(column)
+                    prop = np.stack([_propagator(g, d, masked) for d in steps])
+                lead = half * self._power  # the leading half step joins the pending phase
+                if all(pending):
+                    theta = np.add(self._theta, lead, out=self._theta)
+                elif any(pending):
+                    theta = np.where(np.reshape(pending, column), self._theta + lead, lead)
+                else:
+                    theta = lead
+                vals = _phase(self._vals, theta)
+                going = [True] * n  # False for a row that fails before the step
+                if any(pending):  # the state at t of a pending row was not yet checked
+                    for pos, finite in enumerate(_finite_rows(vals).tolist()):
+                        if pending[pos] and not finite:
+                            self._fail(live[pos])
+                            going[pos] = False
+                vals, _ = _linear(vals, g, prop)
                 power = _power(vals, sigma)
-                theta = (dt_step / 2.0) * power
-                if multiplicative:  # Stratonovich phase: commutes with the trailing half step
-                    theta = np.add(theta, sampler.sample_real(dt_step, rng), out=theta)
-                elif additive:  # not a phase: the trailing half step goes first
-                    vals = _phase(vals, theta) - 1j * sampler.sample_complex(dt_step, rng)
-                    theta = None
+                theta = half * power
+                if cfg.noise_type == "multiplicative":  # Stratonovich phase: commutes
+                    theta += self._sampler.sample_rows(steps, self._rngs)
+                elif cfg.noise_type == "additive":  # not a phase: the trailing half step first
+                    vals = _phase(vals, theta) - 1j * self._sampler.sample_rows(
+                        steps, self._rngs, complex_valued=True)
                     power = _power(vals, sigma)
-            except (FloatingPointError, ValueError):
-                status = TerminalStatus("failed", t, "overflow")
-                break
-            t += dt_step
-            step += 1
-            record_now = step % stride == 0 or t >= t_end - 1e-12
-            if record_now and theta is not None:
-                vals = _phase(vals, theta)
-                theta = None
-            if theta is None and not _finite(vals):
-                status = self._failed(t, dt)
-                break
-            if record_now:
-                break
-        else:
-            if theta is not None and not _finite(_phase(vals, theta)):
-                status = self._failed(t, dt)  # a last step that was not recorded
-            else:
-                status = TerminalStatus("survived", t_end)
-        self.vals, self.theta, self.power = vals, theta, power
-        self.t, self.dt, self.step, self.status = t, dt, step, status
-        if status is None:  # stopped at a record: one FieldState serves every check
-            u = self.state()
-            s = self._sample(u)
-            if s.grad_sq >= cfg.grad_threshold**2:
-                self.status = TerminalStatus("blownup", t)
-            elif spectral_tail_fraction(u) > cfg.tail_fraction_max:
-                self.status = TerminalStatus("blownup", t, "spectral tail")
-            elif cfg.adapt is not None and s.grad_sq > cfg.adapt.growth_factor * self.grad_ref:
-                if dt > cfg.adapt.dt_min:
-                    self.dt = max(dt / 2.0, cfg.adapt.dt_min)
-                self.grad_ref = s.grad_sq
-        return self.status is None
+                self.step += 1
+                on_stride = self.step % stride == 0
+                record = []
+                for pos, row in enumerate(live):
+                    if going[pos]:
+                        self.t[row] += steps[pos]
+                    record.append(going[pos] and (on_stride or self.t[row] >= t_end - 1e-12))
+                pending = [cfg.noise_type != "additive" and not rec for rec in record]
+                synced = [rec and cfg.noise_type != "additive" for rec in record]
+                if all(synced):
+                    vals = _phase(vals, theta)
+                elif any(synced):
+                    vals[synced] = _phase(vals[synced], theta[synced])
+                self._vals, self._theta, self._power, self._pending = vals, theta, power, pending
+                check = [go and not p for go, p in zip(going, pending)]
+                if any(check):  # a state at t that is not finite ends its row
+                    for pos, finite in enumerate(_finite_rows(vals).tolist()):
+                        if check[pos] and not finite:
+                            self._fail(live[pos])
+                            going[pos] = record[pos] = False
+                if any(record):
+                    rows = [row for row, rec in zip(live, record) if rec]
+                    self._record(FieldState(g, vals if all(record) else vals[record]), rows)
+                self._compact()
+                if any(record):
+                    break
+        return bool(self.live)
 
-    def record(self) -> TrajectoryRecord:
-        """The finished path."""
-        return TrajectoryRecord(samples=self.samples, status=self.status, hit_times=self.hits,
-                                seed=self.seed, dt_final=self.dt)
+    def record(self, row: int) -> TrajectoryRecord:
+        """Row's path so far; its status is None while it goes on."""
+        return TrajectoryRecord(samples=self._samples[row], status=self._status[row],
+                                hit_times=self._hits[row], seed=self.seeds[row],
+                                dt_final=self.dt[row])
+
+    def records(self) -> list:
+        """Every row's path, in row order."""
+        return [self.record(row) for row in range(len(self.seeds))]
 
 
 def run_trajectory(config: SimConfig, u0: FieldState, spec: CovarianceSpec | None,
                    seed, sampler: NoiseSampler | None = None) -> TrajectoryRecord:
-    """Integrate one path to T_end, blow-up, or failure (see Trajectory)."""
-    path = Trajectory(config, u0, spec, seed, sampler)
+    """Integrate one path to T_end, blow-up, or failure: a Trajectory of one row."""
+    path = Trajectory(config, [u0], spec, [seed], sampler)
     while path.advance():
         pass
-    return path.record()
+    return path.record(0)

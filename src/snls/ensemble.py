@@ -3,7 +3,9 @@
 Per-trajectory randomness comes from a counter-based stream keyed by
 (master_seed, index), so the summary is bitwise independent of the worker
 count and schedule: workers may finish in any order, but aggregation always
-walks the records in index order.
+walks the records in index order.  A worker advances the trajectories of its
+chunk of indices together as rows of one dynamics.Trajectory, and writes
+their record files itself when the run persists them.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import STOPPING_TIME_NAMES, SimConfig, TrajectoryRecord, run_trajectory
+from .dynamics import STOPPING_TIME_NAMES, SimConfig, Trajectory
 from .grid import GridSpec, mass
 from .ground_state import GroundState
-from .initial_data import InitialData, build_initial_data
-from .noise_model import CovarianceSpec, NoiseConstants, NoiseSampler, make_rng
+from .initial_data import InitialData, initial_state
+from .noise_model import CovarianceSpec, NoiseConstants, NoiseSampler
 from .observables import SAMPLE_KEYS, observe, sample_values
 from .schema import plain
 
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054
+BATCH_BYTES = 2**21  # field values per array of one batch of rows
 
 
 @dataclass(frozen=True)
@@ -119,22 +122,33 @@ class EnsembleSummary:
         return plain(self)
 
 
-def _run_one(cfg: EnsembleConfig, index: int, sampler: NoiseSampler | None) -> TrajectoryRecord:
-    rng = make_rng(cfg.master_seed, index) if cfg.initial_data.is_random else None
-    u0 = build_initial_data(cfg.initial_data, cfg.grid, cfg.ground_state, rng)
-    rec = run_trajectory(cfg.trajectory, u0, cfg.covariance,
-                         seed=(cfg.master_seed, index), sampler=sampler)
-    rec.config_hash = cfg.config_hash
-    return rec
+def _run_chunk(cfg: EnsembleConfig, indices, out_dir: str | None = None,
+               compress: bool = False) -> list:
+    """The trajectories of one chunk, advanced as batches of rows.
 
-
-def _run_chunk(cfg: EnsembleConfig, indices) -> list:
-    """The trajectories of one chunk; they share one sampler, which depends only on
-    (covariance, grid) and whose scratch spectrum every draw rewrites."""
-    sampler = None
+    A batch holds at most BATCH_BYTES of field values per array; a row's record
+    does not depend on the batch it runs in.  With out_dir set the chunk
+    persists its own records, so the encoding runs in the worker.
+    """
+    sampler = None  # one per chunk: it depends only on (covariance, grid)
     if cfg.trajectory.noise_type != "none" and cfg.covariance is not None:
         sampler = NoiseSampler(cfg.covariance, cfg.grid)
-    return [_run_one(cfg, i, sampler) for i in indices]
+    rows = max(1, BATCH_BYTES // (16 * cfg.grid.total_points))
+    records = []
+    for first in range(0, len(indices), rows):
+        batch = indices[first:first + rows]
+        u0s = [initial_state(cfg.initial_data, cfg.grid, cfg.ground_state, cfg.master_seed, i)
+               for i in batch]
+        path = Trajectory(cfg.trajectory, u0s, cfg.covariance,
+                          [(cfg.master_seed, i) for i in batch], sampler)
+        while path.advance():
+            pass
+        records += path.records()
+    for rec in records:
+        rec.config_hash = cfg.config_hash
+    if out_dir is not None:
+        persist_records(records, out_dir, compress, start=indices[0])
+    return records
 
 
 def _mean_paths(records):
@@ -155,10 +169,13 @@ def _mean_paths(records):
     return out
 
 
-def persist_records(records, out_dir: str, compress: bool = False):
-    """One JSON-lines file per trajectory (samples), plus a terminal summary line."""
+def persist_records(records, out_dir: str, compress: bool = False, start: int = 0):
+    """One JSON-lines file per trajectory (samples), plus a terminal summary line.
+
+    The files are numbered from start, the index of the first record.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(records, start):
         path = os.path.join(out_dir, f"traj_{i:05d}.jsonl" + (".gz" if compress else ""))
         opener = gzip.open if compress else open
         with opener(path, "wt") as fh:
@@ -175,10 +192,12 @@ def run_ensemble(cfg: EnsembleConfig, out_dir: str | None = None,
         size = max(1, cfg.n_traj // (4 * cfg.parallel_workers))
         chunks = [indices[i:i + size] for i in range(0, cfg.n_traj, size)]
         with ProcessPoolExecutor(max_workers=cfg.parallel_workers) as pool:
-            records = [rec for done in pool.map(_run_chunk, [cfg] * len(chunks), chunks)
+            records = [rec for done in pool.map(_run_chunk, [cfg] * len(chunks), chunks,
+                                                [out_dir] * len(chunks),
+                                                [compress] * len(chunks))
                        for rec in done]
     else:
-        records = _run_chunk(cfg, indices)
+        records = _run_chunk(cfg, indices, out_dir, compress)
 
     T = cfg.trajectory.T_end
     p_surv, ci_surv = estimate_survival(records, T * (1 - 1e-12))
@@ -195,8 +214,6 @@ def run_ensemble(cfg: EnsembleConfig, out_dir: str | None = None,
         hitting_times=hstats, mean_paths=_mean_paths(records),
         config_hash=cfg.config_hash,
     )
-    if out_dir is not None:
-        persist_records(records, out_dir, compress)
     return summary, records
 
 
@@ -311,8 +328,7 @@ def drift_check(summary: EnsembleSummary, cfg: EnsembleConfig, nc: NoiseConstant
     with hs00; multiplicative noise checks the energy law with f1_phi, which
     is spatially constant for diagonal covariances.
     """
-    rng = make_rng(cfg.master_seed, 0) if cfg.initial_data.is_random else None
-    u0 = build_initial_data(cfg.initial_data, cfg.grid, cfg.ground_state, rng)
+    u0 = initial_state(cfg.initial_data, cfg.grid, cfg.ground_state, cfg.master_seed, 0)
     noise_type = cfg.trajectory.noise_type
     if noise_type == "additive":
         return mass_drift_check(summary, mass(u0), nc.hs00)

@@ -5,6 +5,11 @@ per axis.  All quadratures are plain Riemann sums, which are spectrally
 accurate for smooth periodic data.  Spectral coefficients use the unnormalized
 FFT (scipy.fft, one worker); Parseval then reads
 h^dim * sum|u|^2 == (h^dim / Ntot) * sum|uhat|^2.
+
+A FieldState may hold a batch of fields, one per row of a leading axis.  The
+*_rows functions give one value per row, each reduced on its own so that it
+is bitwise the value of the field alone; the single-field functions are their
+one-row case.
 """
 
 from __future__ import annotations
@@ -20,11 +25,16 @@ __all__ = [
     "FieldState",
     "fft_field",
     "ifft_field",
+    "row_sums",
     "mass",
     "abs2_power",
+    "gradient_norm_sq_rows",
     "gradient_norm_sq",
+    "variance_rows",
     "weighted_variance_quadrature",
+    "boundary_fraction_rows",
     "boundary_mass_fraction",
+    "tail_fraction_rows",
     "spectral_tail_fraction",
 ]
 
@@ -150,28 +160,33 @@ class GridSpec:
         return mask
 
 
-def fft_field(values: np.ndarray) -> np.ndarray:
-    """Unnormalized forward FFT over every axis (the 1d call skips fftn's axis handling)."""
-    return sfft.fft(values) if values.ndim == 1 else sfft.fftn(values)
+def fft_field(values: np.ndarray, dim: int) -> np.ndarray:
+    """Unnormalized forward FFT over the last dim axes, so a leading row axis is kept.
+
+    The 1d call skips fftn's axis handling.
+    """
+    return sfft.fft(values) if dim == 1 else sfft.fftn(values, axes=range(-dim, 0))
 
 
-def ifft_field(spectral: np.ndarray) -> np.ndarray:
+def ifft_field(spectral: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of fft_field."""
-    return sfft.ifft(spectral) if spectral.ndim == 1 else sfft.ifftn(spectral)
+    return sfft.ifft(spectral) if dim == 1 else sfft.ifftn(spectral, axes=range(-dim, 0))
 
 
 class FieldState:
     """Complex field samples on a GridSpec plus a lazily cached spectrum and |uhat|^2.
 
-    Treated as immutable: stepping returns fresh instances, so states can be
-    shared read-only across trajectory workers.
+    values has the grid's shape, or (B, *grid.shape) for a batch of B fields,
+    one per row; transforms act on the grid axes only.  Treated as immutable:
+    stepping returns fresh instances, so states can be shared read-only across
+    trajectory workers.
     """
 
     __slots__ = ("grid", "values", "_spectral", "_spectral_abs2")
 
     def __init__(self, grid: GridSpec, values, spectral=None):
         values = np.asarray(values, dtype=np.complex128)
-        if values.shape != grid.shape:
+        if values.shape[values.ndim - grid.dim:] != grid.shape or values.ndim > grid.dim + 1:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         self.grid = grid
         self.values = values
@@ -181,7 +196,7 @@ class FieldState:
     @property
     def spectral(self):
         if self._spectral is None:
-            self._spectral = fft_field(self.values)
+            self._spectral = fft_field(self.values, self.grid.dim)
         return self._spectral
 
     @property
@@ -195,13 +210,37 @@ class FieldState:
         return FieldState(self.grid, values)
 
 
+def row_sums(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Sums over the grid axes, one per row; a single field is one row.
+
+    Each row is summed on its own, so a row's sum is bitwise that of the
+    field alone.  Reductions never go through BLAS, whose result can depend
+    on its thread count.
+    """
+    return np.add.reduce(a.reshape(-1, grid.total_points), axis=1)
+
+
+def _row_take_sums(a: np.ndarray, grid: GridSpec, index: np.ndarray) -> np.ndarray:
+    """Per-row sums of the grid points at the flat index.
+
+    take gives a C-ordered (B, k) array whose row sums equal a[i][mask].sum()
+    bitwise; the boolean gather a[:, mask] is F-ordered and its row sums do not.
+    """
+    return np.add.reduce(a.reshape(-1, grid.total_points).take(index, axis=1), axis=1)
+
+
+def _fractions(part: np.ndarray, total: list) -> list:
+    """part / total row by row, and 0 where total is 0."""
+    return [p / t if t != 0.0 else 0.0 for p, t in zip(part.tolist(), total)]
+
+
 def _require_finite(state: FieldState):
     if not np.all(np.isfinite(state.values.view(np.float64))):
         raise ValueError("non-finite field")
 
 
 def mass(state: FieldState) -> float:
-    """M(u) = ||u||_{L^2}^2."""
+    """M(u) = ||u||_{L^2}^2 of one field."""
     _require_finite(state)
     return float(state.grid.cell_volume * np.sum(np.abs(state.values) ** 2))
 
@@ -222,29 +261,38 @@ def abs2_power(abs2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(sigma * np.log(np.maximum(abs2, 1e-300)))
 
 
-def gradient_norm_sq(state: FieldState) -> float:
-    """||grad u||_{L^2}^2 via the spectral symbol |xi|^2."""
+def gradient_norm_sq_rows(state: FieldState) -> list:
+    """||grad u||_{L^2}^2 of each row via the spectral symbol |xi|^2."""
     g = state.grid
-    return float(g.cell_volume / g.total_points
-                 * (g.laplacian_symbol * state.spectral_abs2).sum())
+    c = g.cell_volume / g.total_points
+    return [c * x for x in row_sums(g.laplacian_symbol * state.spectral_abs2, g).tolist()]
+
+
+def gradient_norm_sq(state: FieldState) -> float:
+    """||grad u||_{L^2}^2 of one field."""
+    return gradient_norm_sq_rows(state)[0]
+
+
+def variance_rows(grid: GridSpec, abs2: np.ndarray) -> list:
+    """Variance V(u) = integral |x|^2 |u|^2 dx per row, x in [-L/2, L/2), from abs2 = |u|^2."""
+    return [grid.cell_volume * x for x in row_sums(grid.radius_sq * abs2, grid).tolist()]
 
 
 def weighted_variance_quadrature(grid: GridSpec, abs2: np.ndarray) -> float:
-    """Variance V(u) = integral |x|^2 |u|^2 dx with x in [-L/2, L/2), from abs2 = |u|^2."""
-    return float(grid.cell_volume * (grid.radius_sq * abs2).sum())
+    """variance_rows of one field."""
+    return variance_rows(grid, abs2)[0]
 
 
 @lru_cache(maxsize=16)
-def _outer_mask(grid: GridSpec, shell: float) -> np.ndarray:
+def _outer_index(grid: GridSpec, shell: float) -> np.ndarray:
     outer = np.zeros(grid.shape, dtype=bool)
     for x, L in zip(grid.coords, grid.extent):
         outer |= np.abs(x) > (1.0 - shell) * (L / 2.0)
-    outer.flags.writeable = False
-    return outer
+    return _frozen_flat_index(outer)
 
 
 @lru_cache(maxsize=16)
-def _tail_mask(grid: GridSpec, inner: float) -> np.ndarray:
+def _tail_index(grid: GridSpec, inner: float) -> np.ndarray:
     tail = np.zeros(grid.shape, dtype=bool)
     for axis, (k, N) in enumerate(zip(grid.mode_indices, grid.points)):
         cut = grid.dealias_fraction * (N / 2.0)
@@ -253,32 +301,49 @@ def _tail_mask(grid: GridSpec, inner: float) -> np.ndarray:
         shape[axis] = N
         tail |= sel.reshape(shape)
     tail &= grid.dealias_mask
-    tail.flags.writeable = False
-    return tail
+    return _frozen_flat_index(tail)
+
+
+@lru_cache(maxsize=16)
+def _kept_index(grid: GridSpec) -> np.ndarray:
+    return _frozen_flat_index(grid.dealias_mask)
+
+
+def _frozen_flat_index(mask: np.ndarray) -> np.ndarray:
+    index = np.flatnonzero(mask)
+    index.flags.writeable = False
+    return index
+
+
+def boundary_fraction_rows(grid: GridSpec, abs2: np.ndarray, total: list,
+                           shell: float = 0.1) -> list:
+    """Mass fraction in the outer `shell` of the box, per row (torus health diagnostic).
+
+    abs2 is |u|^2 and total the list of its row sums.  The outer region is where
+    max_i |x_i| / (L_i/2) > 1 - shell.  Values that are not tiny mean the
+    torus truncation of R^n is no longer trustworthy.
+    """
+    return _fractions(_row_take_sums(abs2, grid, _outer_index(grid, shell)), total)
 
 
 def boundary_mass_fraction(grid: GridSpec, abs2: np.ndarray, total: float,
                            shell: float = 0.1) -> float:
-    """Mass fraction in the outer `shell` of the box (torus health diagnostic).
-
-    abs2 is |u|^2 and total its sum.  The outer region is where
-    max_i |x_i| / (L_i/2) > 1 - shell.  Values that are not tiny mean the
-    torus truncation of R^n is no longer trustworthy.
-    """
-    if total == 0.0:
-        return 0.0
-    return float(abs2[_outer_mask(grid, shell)].sum() / total)
+    """boundary_fraction_rows of one field."""
+    return boundary_fraction_rows(grid, abs2, [total], shell)[0]
 
 
-def spectral_tail_fraction(state: FieldState, inner: float = 0.75) -> float:
-    """Spectral mass fraction in the outer part of the retained band.
+def tail_fraction_rows(state: FieldState, inner: float = 0.75) -> list:
+    """Spectral mass fraction in the outer part of the retained band, per row.
 
     Tail modes are retained modes with some |xi_i| above `inner` times the
     band limit.  A large value means the collapse is no longer resolved.
     """
     g = state.grid
     uh2 = state.spectral_abs2
-    total = uh2[g.dealias_mask].sum()
-    if total == 0.0:
-        return 0.0
-    return float(uh2[_tail_mask(g, inner)].sum() / total)
+    return _fractions(_row_take_sums(uh2, g, _tail_index(g, inner)),
+                      _row_take_sums(uh2, g, _kept_index(g)).tolist())
+
+
+def spectral_tail_fraction(state: FieldState, inner: float = 0.75) -> float:
+    """tail_fraction_rows of one field."""
+    return tail_fraction_rows(state, inner)[0]

@@ -2,8 +2,8 @@
 
 Families: scaled ground state c*Q, boosted ground state Q e^{i x.xi0}, a
 Gaussian bump, the zero field, c*Q with random c, and Q plus a small random
-band-limited field.  Random families draw from the per-trajectory stream, so
-ensembles stay reproducible.
+band-limited field.  Random families draw from a stream keyed by the path
+(initial_state), so ensembles stay reproducible.
 """
 
 from __future__ import annotations
@@ -15,8 +15,20 @@ import numpy as np
 
 from .grid import FieldState, GridSpec
 from .ground_state import GroundState
+from .noise_model import make_rng
 
-__all__ = ["InitialData", "build_initial_data", "ground_state_field"]
+__all__ = ["InitialData", "FAMILY_PARAMS", "build_initial_data", "initial_state",
+           "ground_state_field"]
+
+# The params each family reads; ExperimentConfig.from_dict rejects any other key.
+FAMILY_PARAMS = {
+    "zero": frozenset(),
+    "scaled_ground_state": frozenset({"mass_fraction", "c"}),
+    "boosted_ground_state": frozenset({"mass_fraction", "c", "boost"}),
+    "gaussian_bump": frozenset({"amplitude", "width"}),
+    "random_scaled_ground_state": frozenset({"c_dist"}),
+    "ground_state_plus_field": frozenset({"amplitude", "k_max"}),
+}
 
 
 def ground_state_field(gs: GroundState, grid: GridSpec) -> FieldState:
@@ -103,6 +115,20 @@ def build_initial_data(desc: InitialData, grid: GridSpec, gs: GroundState | None
             vals = vals + eps * (g_re * np.cos(phase) + g_im * np.sin(phase))
         return base.with_values(vals)
     raise ValueError(f"unknown initial-data family {fam!r}")
+
+
+def initial_state(desc: InitialData, grid: GridSpec, gs: GroundState | None,
+                  master_seed: int, index: int) -> FieldState:
+    """u(0) of path `index` of an ensemble keyed by master_seed.
+
+    A random family draws from the Philox stream of (master_seed, index)
+    jumped once, 2^128 draws ahead of the path's noise stream (the same
+    stream, not jumped), so u(0) and the noise never share draws.
+    """
+    rng = None
+    if desc.is_random:
+        rng = np.random.Generator(make_rng(master_seed, index).bit_generator.jumped())
+    return build_initial_data(desc, grid, gs, rng)
 
 
 def _low_modes(grid, k_max):

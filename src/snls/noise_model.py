@@ -181,8 +181,9 @@ class NoiseSampler:
     Gaussians are drawn in a fixed order: sorted pair representatives, cos
     before sin.  Each owns one slot (re or im part) of the half spectrum an
     inverse real FFT reads; Nyquist pairs such as (1, 4) and (1, -4) at N = 8
-    share one, and their draws add.  Draws write a scratch spectrum the
-    sampler owns, so use one sampler per thread.
+    share one, and their draws add.  A draw writes one row per real field of
+    a scratch half spectrum the sampler owns, so use one sampler per thread,
+    and runs one inverse real FFT over the grid axes of all rows.
     """
 
     def __init__(self, spec: CovarianceSpec, grid: GridSpec):
@@ -205,36 +206,59 @@ class NoiseSampler:
         coef = grid.total_points * lam * sign * np.where(edge, 1.0, 0.5) * np.where(
             per_pair == 1, vol**-0.5, (2.0 / vol) ** 0.5)
         self._coef = coef[pair] * np.where(is_sin, np.where(flip[pair], 1, -1), 1)
-        self._spectrum = np.zeros(grid.shape[:-1] + (grid.points[-1] // 2 + 1,), complex)
-        self._spectrum_parts = self._spectrum.reshape(-1).view(np.float64)
+        self._half_shape = grid.shape[:-1] + (grid.points[-1] // 2 + 1,)
+        self._spectrum = np.zeros((0,) + self._half_shape, complex)  # scratch, one row per field
         target = np.where(flip[:, None], -modes, modes) % grid.points
-        slots = 2 * np.ravel_multi_index(tuple(target.T), self._spectrum.shape)[pair] + is_sin
+        slots = 2 * np.ravel_multi_index(tuple(target.T), self._half_shape)[pair] + is_sin
         unique = np.unique(slots)
         self._slots, self._gather = ((unique, np.searchsorted(unique, slots))
                                      if unique.size < slots.size else (slots, None))
 
-    def sample_real(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        """One real increment Delta W = sqrt(dt) sum_k lambda_k g_k e_k."""
-        if dt <= 0:
+    def sample_rows(self, dts, rngs, complex_valued: bool = False) -> np.ndarray:
+        """One increment per row, row i drawn from rngs[i] with step dts[i].
+
+        Real rows are Delta W = sqrt(dt) sum_k lambda_k g_k e_k.  Complex rows
+        have independent Re and Im parts, each with amplitude / sqrt(2), drawn
+        in that order from the row's rng; this normalization gives
+        E ||Delta W||_{L^2}^2 = hs00 * dt, which is what the additive mass
+        identity  E M(u(t)) = M(u_0) + t ||phi||^2  requires.  A row's draws
+        and its transform do not depend on the other rows.
+        """
+        parts = 2 if complex_valued else 1
+        if min(dts) <= 0:
             raise ValueError("dt must be positive")
-        g = rng.standard_normal(self.n_basis)
-        g *= dt**0.5 * self._coef
+        g = np.empty((len(rngs), parts, self.n_basis))
+        for row, rng in zip(g, rngs):
+            rng.standard_normal(out=row)
+        g *= np.multiply.outer([float(dt) ** 0.5 for dt in dts], self._coef)[:, None]
+        n_rows = len(rngs) * parts  # one half spectrum per real field
         if self._gather is not None:
-            g = np.bincount(self._gather, weights=g, minlength=self._slots.size)
-        self._spectrum_parts[self._slots] = g
-        if self.grid.dim == 1:  # irfftn's axis handling costs as much as a short irfft
-            return np.fft.irfft(self._spectrum, self.grid.points[0])
-        return np.fft.irfftn(self._spectrum, self.grid.shape, axes=range(self.grid.dim))
+            offsets = self._slots.size * np.arange(n_rows)[:, None]
+            g = np.bincount((self._gather + offsets).ravel(), weights=g.ravel(),
+                            minlength=n_rows * self._slots.size)
+        if len(self._spectrum) != n_rows:  # entries off the slots stay zero
+            self._spectrum = spectrum = np.zeros((n_rows,) + self._half_shape, complex)
+            self._parts = spectrum.reshape(-1).view(np.float64)
+            self._index = (self._parts.size // n_rows * np.arange(n_rows)[:, None]
+                           + self._slots).ravel()
+        self._parts[self._index] = g.ravel()
+        dim = self.grid.dim
+        if dim == 1:  # irfftn's axis handling costs as much as a short irfft
+            out = np.fft.irfft(self._spectrum, self.grid.points[0])
+        else:
+            out = np.fft.irfftn(self._spectrum, self.grid.shape, axes=range(1, dim + 1))
+        if not complex_valued:
+            return out
+        out = out.reshape((-1, 2) + self.grid.shape)
+        return out[:, 0] / np.sqrt(2.0) + 1j * (out[:, 1] / np.sqrt(2.0))
+
+    def sample_real(self, dt: float, rng: np.random.Generator) -> np.ndarray:
+        """One real increment: sample_rows of one row."""
+        return self.sample_rows((dt,), (rng,))[0]
 
     def sample_complex(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        """Complex increment: independent Re/Im, each with amplitude / sqrt(2).
-
-        Normalized so that E ||Delta W||_{L^2}^2 = hs00 * dt, which is what the
-        additive mass identity  E M(u(t)) = M(u_0) + t ||phi||^2  requires.
-        """
-        re = self.sample_real(dt, rng) / np.sqrt(2.0)
-        im = self.sample_real(dt, rng) / np.sqrt(2.0)
-        return re + 1j * im
+        """One complex increment: sample_rows of one complex row."""
+        return self.sample_rows((dt,), (rng,), complex_valued=True)[0]
 
 
 def noise_constants(spec: CovarianceSpec, grid: GridSpec, sigma: float) -> NoiseConstants:

@@ -14,16 +14,17 @@ from .grid import (
     GridSpec,
     _require_finite,
     abs2_power,
-    boundary_mass_fraction,
-    gradient_norm_sq,
+    boundary_fraction_rows,
+    gradient_norm_sq_rows,
     ifft_field,
     mass,
-    weighted_variance_quadrature,
+    row_sums,
+    variance_rows,
 )
 from .ground_state import GroundState
 
-__all__ = ["ObservableSample", "SAMPLE_KEYS", "sample_values", "observe", "momentum",
-           "classify_dichotomy", "DichotomyReport"]
+__all__ = ["ObservableSample", "SAMPLE_KEYS", "sample_values", "observe_rows", "observe",
+           "momentum_rows", "momentum", "classify_dichotomy", "DichotomyReport"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ def _i_xi(grid: GridSpec, axis: int) -> np.ndarray:
     return ixi
 
 
-def momentum(state: FieldState) -> float:
-    """G(u) = Im int u (x . grad conj(u)) dx, derivatives taken spectrally.
+def momentum_rows(state: FieldState) -> list:
+    """G(u) = Im int u (x . grad conj(u)) dx per row, derivatives taken spectrally.
 
     One inverse FFT per axis; Im(u conj(du)) is read off conj(du) u, formed
     in the transform's own buffer.
@@ -73,45 +74,61 @@ def momentum(state: FieldState) -> float:
     uh = state.spectral
     acc = 0.0
     for axis in range(g.dim):
-        du = ifft_field(_i_xi(g, axis) * uh)
+        du = ifft_field(_i_xi(g, axis) * uh, g.dim)
         np.conjugate(du, out=du)
         du *= state.values
-        acc += (g.coords[axis] * du.imag).sum()
-    return float(g.cell_volume * acc)
+        acc = acc + row_sums(g.coords[axis] * du.imag, g)
+    return (g.cell_volume * acc).tolist()
 
 
-def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float) -> ObservableSample:
-    """All recorded scalars at time t.
+def momentum(state: FieldState) -> float:
+    """momentum_rows of one field."""
+    return momentum_rows(state)[0]
 
-    m0 is the frozen initial mass entering me_product = H * m0^alpha and
-    X = ||grad u|| * m0^(alpha/2).  Pass alpha = 0 in the mass-critical case,
-    which makes X the plain gradient norm.
+
+def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
+    """All recorded scalars of each row of u, one ObservableSample per row.
+
+    u holds one field per row (a single field is one row); t and m0 give each
+    row's time and frozen initial mass, which enters me_product = H * m0^alpha
+    and X = ||grad u|| * m0^(alpha/2).  Pass alpha = 0 in the mass-critical
+    case, which makes X the plain gradient norm.  Every reduction runs row by
+    row, and the per-row arithmetic is on Python floats, so a row's sample is
+    bitwise the same in any batch.
 
     One record costs one |u|^2, which serves the mass, lp2s2 = h sum |u|^2
     |u|^(2 sigma) (repeated products for an integer sigma, see abs2_power),
     the variance and the boundary fraction; one FFT and one |uhat|^2, cached
-    on u and shared with spectral_tail_fraction; and one inverse FFT per axis
-    for the momentum.  The finiteness check rides on the mass sum: the full
-    scan runs only when that sum is not finite.
+    on u and shared with the spectral-tail check; and one inverse FFT per axis
+    for the momentum.  The finiteness check rides on the mass sums: the full
+    scan runs only when one of them is not finite.
     """
     g = u.grid
     h = g.cell_volume
     abs2 = u.values.real**2 + u.values.imag**2
-    total = abs2.sum()
-    if not math.isfinite(total):  # a non-finite field, or |u|^2 overflowed
+    total = row_sums(abs2, g).tolist()
+    if not all(map(math.isfinite, total)):  # a non-finite field, or |u|^2 overflowed
         _require_finite(u)
-    m = float(h * total)
     p = 2.0 * sigma + 2.0
-    lp2s2 = float(h * (abs2 * abs2_power(abs2, sigma)).sum())
-    grad_sq = gradient_norm_sq(u)
-    energy = 0.5 * grad_sq - lp2s2 / p
-    X = math.sqrt(grad_sq) * m0 ** (alpha / 2.0)
-    return ObservableSample(
-        t=float(t), mass=m, energy=energy, grad_sq=grad_sq, lp2s2=lp2s2,
-        variance=weighted_variance_quadrature(g, abs2), momentum=momentum(u),
-        X=X, me_product=energy * m0**alpha,
-        boundary_mass_fraction=boundary_mass_fraction(g, abs2, total),
-    )
+    columns = zip(t, m0, total, row_sums(abs2 * abs2_power(abs2, sigma), g).tolist(),
+                  gradient_norm_sq_rows(u), variance_rows(g, abs2), momentum_rows(u),
+                  boundary_fraction_rows(g, abs2, total))
+    samples = []
+    for t_row, m0_row, total_row, lp_row, grad_sq, variance, mom, boundary in columns:
+        lp2s2 = h * lp_row
+        energy = 0.5 * grad_sq - lp2s2 / p
+        samples.append(ObservableSample(
+            t=float(t_row), mass=h * total_row, energy=energy, grad_sq=grad_sq, lp2s2=lp2s2,
+            variance=variance, momentum=mom,
+            X=math.sqrt(grad_sq) * m0_row ** (alpha / 2.0), me_product=energy * m0_row**alpha,
+            boundary_mass_fraction=boundary,
+        ))
+    return samples
+
+
+def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float) -> ObservableSample:
+    """observe_rows of one field at time t."""
+    return observe_rows(u, (t,), (m0,), alpha, sigma)[0]
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,24 @@ def test_config_rejects_unknown_section_keys(section, key):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("family, params, key", [
+    ("scaled_ground_state", {"mass_fracton": 0.5}, "mass_fracton"),
+    ("gaussian_bump", {"amplitude": 0.3, "c": 1.0}, "c"),
+    ("random_scaled_ground_state", {"c_dist": {"kind": "uniform", "lo": 0.4, "hi": 0.8},
+                                    "mass_fraction": 0.5}, "mass_fraction"),
+], ids=["scaled_ground_state", "gaussian_bump", "random_scaled_ground_state"])
+def test_config_rejects_params_of_another_family(family, params, key):
+    # det-critical-below with a misspelled mass_fraction used to fall back to c = 1
+    doc = get_preset("det-critical-below").to_dict()
+    doc["initial_data"] = {"family": family, "params": params}
+    with pytest.raises(ValueError,
+                       match=re.escape(f"unknown keys in initial_data.params: ['{key}']")):
+        ExperimentConfig.from_dict(doc)
+    doc["initial_data"] = {"family": "scaled_ground_stat", "params": {}}
+    with pytest.raises(ValueError, match="unknown initial-data family 'scaled_ground_stat'"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_cross_field_validation():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({

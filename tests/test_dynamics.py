@@ -5,7 +5,7 @@ import pytest
 
 from snls.config import ensemble_config
 from snls.ensemble import run_ensemble
-from snls.grid import FieldState, GridSpec, mass, spectral_tail_fraction
+from snls.grid import FieldState, GridSpec, mass, tail_fraction_rows
 from snls.presets import get_preset
 from snls.dynamics import (
     AdaptSpec,
@@ -385,18 +385,18 @@ def test_fused_loop_matches_public_substeps(gs_1d_s2, name):
 @pytest.mark.parametrize("name", ["stride", "adapt", "additive"])
 def test_trajectory_advances_record_by_record(gs_1d_s2, name):
     cfg, u0, spec = _oracle_case(name, gs_1d_s2)
-    path = Trajectory(cfg, u0, spec, (5, 2))
+    path = Trajectory(cfg, [u0], spec, [(5, 2)])
     m0 = mass(u0)
-    assert len(path.samples) == 1
+    assert len(path.record(0).samples) == 1
     while path.advance():
-        assert path.samples[-1].t == path.t
-        now = observe(path.state(), path.t, m0, cfg.alpha_or_zero, cfg.sigma)
-        assert sample_values(now) == sample_values(path.samples[-1])
-    assert path.status is not None
-    n_samples = len(path.samples)
+        assert path.record(0).samples[-1].t == path.t[0]
+        now = observe(path.state(0), path.t[0], m0, cfg.alpha_or_zero, cfg.sigma)
+        assert sample_values(now) == sample_values(path.record(0).samples[-1])
+    assert path.record(0).status is not None
+    n_samples = len(path.record(0).samples)
     assert path.advance() is False and path.advance() is False
-    assert len(path.samples) == n_samples
-    rec, direct = path.record(), run_trajectory(cfg, u0, spec, seed=(5, 2))
+    assert len(path.record(0).samples) == n_samples
+    rec, direct = path.record(0), run_trajectory(cfg, u0, spec, seed=(5, 2))
     assert [sample_values(s) for s in rec.samples] == [sample_values(s) for s in direct.samples]
     assert (rec.status, rec.hit_times, rec.dt_final) == (direct.status, direct.hit_times,
                                                          direct.dt_final)
@@ -452,11 +452,11 @@ def test_recorded_step_transforms(gs_1d_s2, monkeypatch):
 
     def tail_check(state, *args):
         cached = state._spectral_abs2
-        out = spectral_tail_fraction(state, *args)
+        out = tail_fraction_rows(state, *args)
         tail_checks.append(cached is not None and state._spectral_abs2 is cached)
         return out
 
-    monkeypatch.setattr(snls.dynamics, "spectral_tail_fraction", tail_check)
+    monkeypatch.setattr(snls.dynamics, "tail_fraction_rows", tail_check)
     counts = _transform_counts(gs_1d_s2, monkeypatch, record_stride=1)
     assert [n for _, n in counts] == [11, 21]
     (first, _), (second, _) = counts
