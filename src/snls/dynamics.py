@@ -14,7 +14,7 @@ the one it gets alone, in any batch and on any number of workers:
   * its own t, dt and step decisions: the linear propagator is looked up per
     dt and stacked when rows differ (adaptive halving, a clipped last step);
   * its own trackers, samples and status.  A row that is not finite, blows
-    up, shows a spectral tail or reaches T_end stops alone, and the field
+    up, shows a spectral tail or reaches the end stops alone, and the field
     arrays are compacted to the rows that go on;
   * reductions run row by row: a.reshape(B, -1).sum(axis=1) sums each row
     exactly as the row alone, and the boundary and tail fractions gather
@@ -51,12 +51,20 @@ trailing half step is applied before it on every step.  step_deterministic
 is the same Strang step on a FieldState, built from the same phase and
 propagator helpers.
 
-A record syncs the pending phase of the rows that record and observes them
-as one batch state (observables.observe_rows): one |u|^2, one FFT and one
-|uhat|^2 shared by the gradient norm and the tail check, and one inverse FFT
-per axis for the momentum.  The next leading half step uses the dt chosen
-after the adaptive check.  Overflow is not an error inside the loop: it
-makes the row's field non-finite, and the finiteness checks end that row.
+Every live row carries the same pending state, since the rows share one
+step count: after a step off the record stride the phase stays pending in
+every row (an additive step syncs every row), and on the stride every row is
+synced and recorded.  A row ends on the step that takes its t to
+T_end - 1e-12 max(1, T_end) or beyond, and that step records it, so a
+surviving path's last sample is its only one in that band; off the stride
+the ending row records a synced temporary and the other rows stay pending.
+A record observes its rows as one batch state (observables.observe_rows):
+one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and the tail
+check, and one inverse FFT per axis for the momentum.  The next leading half
+step uses the dt chosen after the adaptive check.  Overflow is not an error
+inside the loop: it makes the row's field non-finite, and a state that is
+not finite fails its row at its time t.  A state is checked when it is
+synced, or before the next step while it is pending.
 """
 
 from __future__ import annotations
@@ -251,23 +259,20 @@ def _propagator(grid: GridSpec, dt: float, masked: bool) -> np.ndarray:
     return prop
 
 
-def _linear(values: np.ndarray, grid: GridSpec, prop: np.ndarray):
-    """The linear full step over the grid axes: (new values, their spectrum)."""
+def _linear(values: np.ndarray, grid: GridSpec, prop: np.ndarray) -> np.ndarray:
+    """The linear full step over the grid axes."""
     spec = fft_field(values, grid.dim)
     spec *= prop
-    return ifft_field(spec, grid.dim), spec
+    return ifft_field(spec, grid.dim)
 
 
-def step_deterministic(u: FieldState, dt: float, sigma: float,
-                       skip_nonlinear: bool = False) -> FieldState:
+def step_deterministic(u: FieldState, dt: float, sigma: float) -> FieldState:
     """One Strang step of the deterministic flow (see module docstring)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = u.grid
-    if skip_nonlinear:
-        return FieldState(g, *_linear(u.values, g, _propagator(g, dt, False)))
     vals = _phase(u.values, (dt / 2.0) * _power(u.values, sigma))
-    vals, _ = _linear(vals, g, _propagator(g, dt, g.dealias_fraction < 1.0))
+    vals = _linear(vals, g, _propagator(g, dt, g.dealias_fraction < 1.0))
     return FieldState(g, _phase(vals, (dt / 2.0) * _power(vals, sigma)))
 
 
@@ -327,9 +332,9 @@ class Trajectory:
 
     t, dt and grad_ref are per-row Python floats, so a row's time arithmetic
     is that of a path alone.  The field arrays hold the rows that go on, in
-    the order of `live`: a row's state is vals * exp(-i theta) when it is
-    pending and vals otherwise, and power = |vals|^(2 sigma) is unchanged by
-    the pending phase.
+    the order of `live`, and every row carries the same pending state: the
+    rows' states are vals * exp(-i theta) while a phase is pending and vals
+    otherwise, and power = |vals|^(2 sigma) is unchanged by the pending phase.
     """
 
     def __init__(self, config: SimConfig, u0s, spec: CovarianceSpec | None, seeds,
@@ -359,16 +364,12 @@ class Trajectory:
         self.step = 0
         self.live = list(range(n))
         vals = np.stack([u.values for u in u0s])
-        spectra = fft_field(vals, g.dim)
-        for row, u in enumerate(u0s):  # a spectrum the caller attached is the one observed
-            if u._spectral is not None:
-                spectra[row] = u._spectral
-        grad0 = [s.grad_sq for s in self._sample(FieldState(g, vals, spectra), self.live)]
+        grad0 = [s.grad_sq for s in self._sample(FieldState(g, vals), self.live)]
         if any(x >= config.grad_threshold**2 for x in grad0):
             raise ValueError("grad_threshold must exceed the initial gradient norm")
         self.grad_ref = [max(x, 1e-300) for x in grad0]
         self._vals, self._theta = vals, np.zeros(vals.shape)
-        self._pending = [False] * n
+        self._pending = False  # whether every live row's state is vals * exp(-i theta)
         self._power = _power(vals, config.sigma)
 
     def _sample(self, u: FieldState, rows: list) -> list:
@@ -409,7 +410,6 @@ class Trajectory:
         if all(keep):
             return
         self.live = [row for row, k in zip(self.live, keep) if k]
-        self._pending = [p for p, k in zip(self._pending, keep) if k]
         self._rngs = [rng for rng, k in zip(self._rngs, keep) if k]
         self._vals, self._theta, self._power = (
             self._vals[keep], self._theta[keep], self._power[keep])
@@ -418,7 +418,7 @@ class Trajectory:
         """The field of a live row at its time t, with the pending phase applied."""
         pos = self.live.index(row)
         vals = self._vals[pos]
-        if self._pending[pos]:
+        if self._pending:
             vals = _phase(vals, self._theta[pos])
         return FieldState(self.grid, vals)
 
@@ -429,45 +429,25 @@ class Trajectory:
         """
         cfg, g = self.config, self.grid
         sigma, t_end, stride = cfg.sigma, cfg.T_end, cfg.record_stride
+        end = t_end - 1e-12 * max(1.0, t_end)  # a row ends and records on the step reaching it
         masked = g.dealias_fraction < 1.0
-        column = (-1,) + (1,) * g.dim  # a per-row scalar against the grid axes
         with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails alone
             while self.live:
-                live, pending = self.live, self._pending
-                n = len(live)
-                ended = [pos for pos, row in enumerate(live)
-                         if not self.t[row] < t_end - 1e-12 * t_end]
-                for pos in ended:  # survived, or failed after an unrecorded last step
-                    row = live[pos]
-                    if pending[pos] and not _finite_rows(
-                            _phase(self._vals[pos:pos + 1], self._theta[pos:pos + 1]))[0]:
-                        self._fail(row)
-                    else:
-                        self._status[row] = TerminalStatus("survived", t_end)
-                if ended:
-                    self._compact()
-                    continue
+                live = self.live
                 steps = [min(self.dt[row], t_end - self.t[row]) for row in live]
-                if steps.count(steps[0]) == n:  # a Python float keeps numpy's fast loops
+                if steps.count(steps[0]) == len(live):  # a Python float keeps numpy's fast loops
                     half, prop = steps[0] / 2.0, _propagator(g, steps[0], masked)
                 else:  # rows on different dt: adaptive halving or a clipped last step
-                    half = np.array([d / 2.0 for d in steps]).reshape(column)
+                    half = np.array([d / 2.0 for d in steps]).reshape((-1,) + (1,) * g.dim)
                     prop = np.stack([_propagator(g, d, masked) for d in steps])
                 lead = half * self._power  # the leading half step joins the pending phase
-                if all(pending):
-                    theta = np.add(self._theta, lead, out=self._theta)
-                elif any(pending):
-                    theta = np.where(np.reshape(pending, column), self._theta + lead, lead)
+                if self._pending:  # the states at t were not yet checked
+                    vals = _phase(self._vals, np.add(self._theta, lead, out=self._theta))
+                    going = _finite_rows(vals).tolist()
                 else:
-                    theta = lead
-                vals = _phase(self._vals, theta)
-                going = [True] * n  # False for a row that fails before the step
-                if any(pending):  # the state at t of a pending row was not yet checked
-                    for pos, finite in enumerate(_finite_rows(vals).tolist()):
-                        if pending[pos] and not finite:
-                            self._fail(live[pos])
-                            going[pos] = False
-                vals, _ = _linear(vals, g, prop)
+                    vals = _phase(self._vals, lead)
+                    going = [True] * len(live)
+                vals = _linear(vals, g, prop)
                 power = _power(vals, sigma)
                 theta = half * power
                 if cfg.noise_type == "multiplicative":  # Stratonovich phase: commutes
@@ -478,29 +458,33 @@ class Trajectory:
                     power = _power(vals, sigma)
                 self.step += 1
                 on_stride = self.step % stride == 0
+                self._pending = cfg.noise_type != "additive" and not on_stride
                 record = []
                 for pos, row in enumerate(live):
                     if going[pos]:
                         self.t[row] += steps[pos]
-                    record.append(going[pos] and (on_stride or self.t[row] >= t_end - 1e-12))
-                pending = [cfg.noise_type != "additive" and not rec for rec in record]
-                synced = [rec and cfg.noise_type != "additive" for rec in record]
-                if all(synced):
-                    vals = _phase(vals, theta)
-                elif any(synced):
-                    vals[synced] = _phase(vals[synced], theta[synced])
-                self._vals, self._theta, self._power, self._pending = vals, theta, power, pending
-                check = [go and not p for go, p in zip(going, pending)]
-                if any(check):  # a state at t that is not finite ends its row
-                    for pos, finite in enumerate(_finite_rows(vals).tolist()):
-                        if check[pos] and not finite:
+                    else:  # its state at t is not finite
+                        self._fail(row)
+                    record.append(going[pos] and (on_stride or self.t[row] >= end))
+                states = vals  # the states at t
+                if cfg.noise_type != "additive" and (not self._pending or any(record)):
+                    states = _phase(vals, theta)  # a temporary while the rows stay pending
+                self._vals, self._theta, self._power = (
+                    vals if self._pending else states), theta, power
+                checked = record if self._pending else going  # the states at t at hand
+                if any(checked):  # a state at t that is not finite ends its row
+                    for pos, finite in enumerate(_finite_rows(states).tolist()):
+                        if checked[pos] and not finite:
                             self._fail(live[pos])
-                            going[pos] = record[pos] = False
-                if any(record):
-                    rows = [row for row, rec in zip(live, record) if rec]
-                    self._record(FieldState(g, vals if all(record) else vals[record]), rows)
+                            record[pos] = False
+                rows = [row for row, rec in zip(live, record) if rec]
+                if rows:
+                    self._record(FieldState(g, states if all(record) else states[record]), rows)
+                for row in rows:  # a row that reaches the end ends on its record
+                    if self._status[row] is None and self.t[row] >= end:
+                        self._status[row] = TerminalStatus("survived", t_end)
                 self._compact()
-                if any(record):
+                if rows:
                     break
         return bool(self.live)
 

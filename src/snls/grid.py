@@ -8,8 +8,8 @@ h^dim * sum|u|^2 == (h^dim / Ntot) * sum|uhat|^2.
 
 A FieldState may hold a batch of fields, one per row of a leading axis.  The
 *_rows functions give one value per row, each reduced on its own so that it
-is bitwise the value of the field alone; the single-field functions are their
-one-row case.
+is bitwise the value of the field alone; a single field is a batch of one
+row, and mass is the one single-field reduction.
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ __all__ = [
     "mass",
     "abs2_power",
     "gradient_norm_sq_rows",
-    "gradient_norm_sq",
     "variance_rows",
-    "weighted_variance_quadrature",
     "boundary_fraction_rows",
-    "boundary_mass_fraction",
     "tail_fraction_rows",
-    "spectral_tail_fraction",
 ]
 
 
@@ -184,13 +180,13 @@ class FieldState:
 
     __slots__ = ("grid", "values", "_spectral", "_spectral_abs2")
 
-    def __init__(self, grid: GridSpec, values, spectral=None):
+    def __init__(self, grid: GridSpec, values):
         values = np.asarray(values, dtype=np.complex128)
         if values.shape[values.ndim - grid.dim:] != grid.shape or values.ndim > grid.dim + 1:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         self.grid = grid
         self.values = values
-        self._spectral = spectral
+        self._spectral = None
         self._spectral_abs2 = None
 
     @property
@@ -268,19 +264,9 @@ def gradient_norm_sq_rows(state: FieldState) -> list:
     return [c * x for x in row_sums(g.laplacian_symbol * state.spectral_abs2, g).tolist()]
 
 
-def gradient_norm_sq(state: FieldState) -> float:
-    """||grad u||_{L^2}^2 of one field."""
-    return gradient_norm_sq_rows(state)[0]
-
-
 def variance_rows(grid: GridSpec, abs2: np.ndarray) -> list:
     """Variance V(u) = integral |x|^2 |u|^2 dx per row, x in [-L/2, L/2), from abs2 = |u|^2."""
     return [grid.cell_volume * x for x in row_sums(grid.radius_sq * abs2, grid).tolist()]
-
-
-def weighted_variance_quadrature(grid: GridSpec, abs2: np.ndarray) -> float:
-    """variance_rows of one field."""
-    return variance_rows(grid, abs2)[0]
 
 
 @lru_cache(maxsize=16)
@@ -326,12 +312,6 @@ def boundary_fraction_rows(grid: GridSpec, abs2: np.ndarray, total: list,
     return _fractions(_row_take_sums(abs2, grid, _outer_index(grid, shell)), total)
 
 
-def boundary_mass_fraction(grid: GridSpec, abs2: np.ndarray, total: float,
-                           shell: float = 0.1) -> float:
-    """boundary_fraction_rows of one field."""
-    return boundary_fraction_rows(grid, abs2, [total], shell)[0]
-
-
 def tail_fraction_rows(state: FieldState, inner: float = 0.75) -> list:
     """Spectral mass fraction in the outer part of the retained band, per row.
 
@@ -342,8 +322,3 @@ def tail_fraction_rows(state: FieldState, inner: float = 0.75) -> list:
     uh2 = state.spectral_abs2
     return _fractions(_row_take_sums(uh2, g, _tail_index(g, inner)),
                       _row_take_sums(uh2, g, _kept_index(g)).tolist())
-
-
-def spectral_tail_fraction(state: FieldState, inner: float = 0.75) -> float:
-    """tail_fraction_rows of one field."""
-    return tail_fraction_rows(state, inner)[0]

@@ -252,14 +252,6 @@ class NoiseSampler:
         out = out.reshape((-1, 2) + self.grid.shape)
         return out[:, 0] / np.sqrt(2.0) + 1j * (out[:, 1] / np.sqrt(2.0))
 
-    def sample_real(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        """One real increment: sample_rows of one row."""
-        return self.sample_rows((dt,), (rng,))[0]
-
-    def sample_complex(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        """One complex increment: sample_rows of one complex row."""
-        return self.sample_rows((dt,), (rng,), complex_valued=True)[0]
-
 
 def noise_constants(spec: CovarianceSpec, grid: GridSpec, sigma: float) -> NoiseConstants:
     """All scalar functionals of phi on this grid (see NoiseConstants)."""

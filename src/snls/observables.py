@@ -24,7 +24,7 @@ from .grid import (
 from .ground_state import GroundState
 
 __all__ = ["ObservableSample", "SAMPLE_KEYS", "sample_values", "observe_rows", "observe",
-           "momentum_rows", "momentum", "classify_dichotomy", "DichotomyReport"]
+           "momentum_rows", "classify_dichotomy", "DichotomyReport"]
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,7 @@ class ObservableSample:
     boundary_mass_fraction: float
 
     def to_dict(self):
-        return {
-            "t": self.t, "mass": self.mass, "energy": self.energy,
-            "grad_sq": self.grad_sq, "lp2s2": self.lp2s2,
-            "variance": self.variance, "momentum": self.momentum,
-            "X": self.X, "me_product": self.me_product,
-            "boundary_mass_fraction": self.boundary_mass_fraction,
-        }
+        return dict(zip(SAMPLE_KEYS, sample_values(self)))
 
 
 SAMPLE_KEYS = tuple(f.name for f in fields(ObservableSample))  # the to_dict keys, in order
@@ -79,11 +73,6 @@ def momentum_rows(state: FieldState) -> list:
         du *= state.values
         acc = acc + row_sums(g.coords[axis] * du.imag, g)
     return (g.cell_volume * acc).tolist()
-
-
-def momentum(state: FieldState) -> float:
-    """momentum_rows of one field."""
-    return momentum_rows(state)[0]
 
 
 def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:

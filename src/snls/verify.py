@@ -185,12 +185,12 @@ def check_noise_sampler(seed):
     sampler = NoiseSampler(spec, grid)
     rng = make_rng(seed, 6)
     n, dt = 40000, 0.02
-    draws = np.array([sampler.sample_real(dt, rng) for _ in range(n)])
-    var = draws.var(axis=0) / dt
+    rngs = [rng] * n  # the rows draw from one stream in turn
+    var = sampler.sample_rows([dt] * n, rngs).var(axis=0) / dt
     se = nc.F_phi * math.sqrt(2.0 / n)
     ok_var = np.all(np.abs(var - nc.F_phi) <= 3 * se + 1e-12)
-    comp = np.array([np.sum(np.abs(sampler.sample_complex(dt, rng)) ** 2)
-                     * grid.cell_volume for _ in range(n)])
+    comp = np.array([np.sum(np.abs(dw) ** 2) * grid.cell_volume
+                     for dw in sampler.sample_rows([dt] * n, rngs, complex_valued=True)])
     z = (comp.mean() - nc.hs00 * dt) / (comp.std(ddof=1) / math.sqrt(n))
     return bool(ok_var and abs(z) <= 3.0), f"pointwise variance ok={ok_var}, ||dW||^2 z={z:.2f}"
 

@@ -70,14 +70,15 @@ def test_soliton_global_phase(gs_1d_s2):
 
 
 def test_free_single_mode_exact_phase():
-    # nonlinearity disabled: one Fourier mode picks up exactly e^{i xi^2 t}
+    # one Fourier mode of modulus 1 picks up exactly e^{i xi^2 t} from the linear step
+    # and e^{-i t} from the nonlinear phase
     grid = GridSpec(1, 2 * np.pi, 64)
     xi0 = 5.0
     u = FieldState(grid, np.exp(1j * xi0 * grid.axes[0]))
     v = u
     for _ in range(100):
-        v = step_deterministic(v, 1e-3, 2.0, skip_nonlinear=True)
-    expected = u.values * np.exp(1j * xi0**2 * 0.1)
+        v = step_deterministic(v, 1e-3, 2.0)
+    expected = u.values * np.exp(1j * (xi0**2 - 1.0) * 0.1)
     assert np.max(np.abs(v.values - expected)) < 1e-12
 
 
@@ -328,16 +329,17 @@ def _reference_run(cfg, u0, spec, seed):
     samples = [observe(u0, 0.0, m0, alpha, cfg.sigma)]
     grad_ref = samples[0].grad_sq
     u, t, dt, step = u0, 0.0, cfg.dt0, 0
-    while t < cfg.T_end - 1e-12 * cfg.T_end:
+    end = cfg.T_end - 1e-12 * max(1.0, cfg.T_end)
+    while t < end:
         dt_step = min(dt, cfg.T_end - t)
         u = step_deterministic(u, dt_step, cfg.sigma)
         if cfg.noise_type == "multiplicative":
-            u = step_multiplicative(u, sampler.sample_real(dt_step, rng))
+            u = step_multiplicative(u, sampler.sample_rows((dt_step,), (rng,))[0])
         elif cfg.noise_type == "additive":
-            u = step_additive(u, sampler.sample_complex(dt_step, rng))
+            u = step_additive(u, sampler.sample_rows((dt_step,), (rng,), complex_valued=True)[0])
         t += dt_step
         step += 1
-        if step % cfg.record_stride == 0 or t >= cfg.T_end - 1e-12:
+        if step % cfg.record_stride == 0 or t >= end:
             s = observe(u, t, m0, alpha, cfg.sigma)
             samples.append(s)
             if cfg.adapt is not None and s.grad_sq > cfg.adapt.growth_factor * grad_ref:

@@ -89,18 +89,18 @@ def test_cauchy_schwarz_chain(grid):
 
 def test_reproducible_increments(grid):
     spec = CovarianceSpec("fourier_diagonal", {(1,): 0.5, (2,): 0.25})
-    a = NoiseSampler(spec, grid).sample_real(0.1, make_rng(7, 3))
-    b = NoiseSampler(spec, grid).sample_real(0.1, make_rng(7, 3))
+    a = NoiseSampler(spec, grid).sample_rows((0.1,), (make_rng(7, 3),))[0]
+    b = NoiseSampler(spec, grid).sample_rows((0.1,), (make_rng(7, 3),))[0]
     assert np.array_equal(a, b)
-    c = NoiseSampler(spec, grid).sample_real(0.1, make_rng(7, 4))
+    c = NoiseSampler(spec, grid).sample_rows((0.1,), (make_rng(7, 4),))[0]
     assert not np.array_equal(a, c)
 
 
 def test_zero_covariance_increment(grid):
     spec = CovarianceSpec("fourier_diagonal", {})
-    dw = NoiseSampler(spec, grid).sample_real(0.1, make_rng(0, 0))
+    dw = NoiseSampler(spec, grid).sample_rows((0.1,), (make_rng(0, 0),))[0]
     assert np.all(dw == 0.0)
-    dwc = NoiseSampler(spec, grid).sample_complex(0.1, make_rng(0, 0))
+    dwc = NoiseSampler(spec, grid).sample_rows((0.1,), (make_rng(0, 0),), complex_valued=True)[0]
     assert np.all(dwc == 0.0)
 
 
@@ -114,7 +114,7 @@ def test_real_increment_pointwise_variance(grid):
     acc = np.zeros(grid.shape)
     acc2 = np.zeros(grid.shape)
     for _ in range(n):
-        dw = sampler.sample_real(dt, rng)
+        dw = sampler.sample_rows((dt,), (rng,))[0]
         acc += dw
         acc2 += dw**2
     assert np.max(np.abs(acc / n)) < 4 * math.sqrt(np.max(nc.F_phi) * dt / n)
@@ -136,7 +136,7 @@ def test_disjoint_mode_projections_uncorrelated(grid):
     p1 = np.empty(n)
     p4 = np.empty(n)
     for i in range(n):
-        dw = sampler.sample_real(dt, rng)
+        dw = sampler.sample_rows((dt,), (rng,))[0]
         p1[i] = h * np.sum(dw * e1)
         p4[i] = h * np.sum(dw * e4)
     corr = np.corrcoef(p1, p4)[0, 1]
@@ -154,7 +154,7 @@ def test_complex_increment_normalization(grid):
     re0 = np.empty(n)
     im0 = np.empty(n)
     for i in range(n):
-        dw = sampler.sample_complex(dt, rng)
+        dw = sampler.sample_rows((dt,), (rng,), complex_valued=True)[0]
         norms[i] = grid.cell_volume * np.sum(np.abs(dw) ** 2)
         re0[i] = dw.real[0]
         im0[i] = dw.imag[0]
@@ -192,7 +192,7 @@ def test_physical_kernel_reduces_to_diagonal():
 
 def test_multiplicative_increment_is_real(grid):
     spec = CovarianceSpec("fourier_diagonal", {(1,): 0.5})
-    dw = NoiseSampler(spec, grid).sample_real(0.1, make_rng(1, 1))
+    dw = NoiseSampler(spec, grid).sample_rows((0.1,), (make_rng(1, 1),))[0]
     assert np.isrealobj(dw)
 
 
@@ -201,7 +201,7 @@ def test_2d_constants_and_sampling():
     spec = CovarianceSpec("fourier_diagonal", {(0, 0): 0.2, (1, 0): 0.1, (1, 1): 0.1})
     nc = noise_constants(spec, grid, 1.0)
     assert nc.hs00 == pytest.approx(0.2**2 + 2 * 0.1**2 + 2 * 0.1**2, rel=1e-12)
-    dw = NoiseSampler(spec, grid).sample_real(0.1, make_rng(0, 0))
+    dw = NoiseSampler(spec, grid).sample_rows((0.1,), (make_rng(0, 0),))[0]
     assert dw.shape == grid.shape
 
 
@@ -280,7 +280,7 @@ def test_spectral_draw_matches_dense_basis(case):
     sampler = NoiseSampler(spec, grid)
     rng, ref_rng = make_rng(11, 2), make_rng(11, 2)
     for dt in (0.1, 0.003):
-        dw = sampler.sample_real(dt, rng)
+        dw = sampler.sample_rows((dt,), (rng,))[0]
         ref = _dense_draw(spec, grid, dt, ref_rng)
         assert dw.shape == grid.shape
         assert np.max(np.abs(dw - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -303,7 +303,7 @@ def test_draw_consumes_exactly_n_basis_normals():
     sampler = NoiseSampler(spec, grid)
     assert sampler.n_basis == 7
     rng, ref = make_rng(4, 9), make_rng(4, 9)
-    sampler.sample_real(0.01, rng)
+    sampler.sample_rows((0.01,), (rng,))
     ref.standard_normal(sampler.n_basis)
     assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
