@@ -23,7 +23,7 @@ from .noise_model import CovarianceSpec, gaussian_spectrum_amplitudes
 __all__ = ["ExperimentConfig", "config_hash", "materialize", "ensemble_config",
            "load_config", "dump_config"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ import numpy as np
 
 from .grid import (FieldState, GridSpec, abs2_power, fft_field, ifft_field, mass,
                    tail_fraction_rows)
-from .ground_state import GroundState
+from .ground_state import GroundState, classify_regime
 from .noise_model import CovarianceSpec, NoiseSampler, make_rng
 from .observables import SAMPLE_KEYS, observe_rows, sample_values
 
@@ -93,6 +93,7 @@ __all__ = [
     "step_additive",
     "Trajectory",
     "run_trajectory",
+    "tracker_rows",
     "STOPPING_TIME_NAMES",
 ]
 
@@ -144,22 +145,6 @@ class GroundStateRefs:
                    alpha=gs.alpha, x_star=gs.x_star)
 
 
-_CRIT_SIGMA = {1: 2.0, 2: 1.0, 3: 2.0 / 3.0, 4: 0.5}
-
-
-def _sigma_in_admissible_range(n: int, sigma: float) -> bool:
-    crit = _CRIT_SIGMA.get(n)
-    if crit is not None and abs(sigma - crit) < 1e-12:
-        return True
-    if n in (1, 2):
-        return sigma > 2.0 / n
-    if n in (3, 4):
-        return 2.0 / n < sigma < 2.0 / (n - 2)
-    if n == 5:
-        return 0.5 <= sigma < 2.0 / 3.0
-    return False
-
-
 @dataclass(frozen=True)
 class SimConfig:
     n: int
@@ -184,7 +169,9 @@ class SimConfig:
             raise ValueError("record_stride must be >= 1")
         if self.grad_threshold <= 0:
             raise ValueError("grad_threshold must be positive")
-        if not self.allow_conditional_regime and not _sigma_in_admissible_range(self.n, self.sigma):
+        # admissible: 0 <= s_c < 1, with |s_c| < 1e-12 counted as critical
+        if not self.allow_conditional_regime and \
+                classify_regime(self.n, self.sigma) not in ("critical", "intercritical"):
             raise ValueError(
                 "sigma outside the admissible critical/intercritical ranges; "
                 "set allow_conditional_regime=True to run anyway"
@@ -298,7 +285,7 @@ def _square(x):
     return None if x is None else x**2
 
 
-def _tracker_rows(cfg: SimConfig) -> list:
+def tracker_rows(cfg: SimConfig) -> list:
     """(name, sample field, comparison, limit) of each enabled stopping time.
 
     A row is left out when its threshold or its ground-state reference is None.
@@ -355,7 +342,7 @@ class Trajectory:
         self._sampler = sampler
         n = len(u0s)
         self._m0 = [mass(u) for u in u0s]
-        self._trackers = _tracker_rows(config)
+        self._trackers = tracker_rows(config)
         self._hits = [dict.fromkeys(STOPPING_TIME_NAMES) for _ in range(n)]
         self._samples = [[] for _ in range(n)]
         self._status: list[TerminalStatus | None] = [None] * n

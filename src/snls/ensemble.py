@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import STOPPING_TIME_NAMES, SimConfig, Trajectory
+from .dynamics import STOPPING_TIME_NAMES, SimConfig, Trajectory, tracker_rows
 from .grid import GridSpec, mass
 from .ground_state import GroundState
 from .initial_data import InitialData, initial_state
@@ -88,13 +88,18 @@ def estimate_survival(records, T: float):
     return k / n, wilson_interval(k, n)
 
 
-def hitting_time_stats(records, name: str, T_end: float):
-    """Censored statistics of one stopping time across the ensemble."""
+def hitting_time_stats(records, name: str, T_end: float, tracked: bool = True):
+    """Censored statistics of one stopping time across the ensemble.
+
+    tracked is False when the config enables no tracker for the stopping
+    time; every path then counts as censored, which says nothing about it.
+    """
     hits = [r.hit_times.get(name) for r in records]
     censored = sum(h is None for h in hits)
     vals = np.array([T_end if h is None else min(h, T_end) for h in hits], dtype=float)
     return {
         "name": name,
+        "tracked": tracked,
         "censored_count": int(censored),
         "n": len(hits),
         "mean_censored": float(vals.mean()),
@@ -205,7 +210,9 @@ def run_ensemble(cfg: EnsembleConfig, out_dir: str | None = None,
     failed = sum(r.status.kind == "failed" for r in records)
     p_blow = k_blow / cfg.n_traj
     ci_blow = wilson_interval(k_blow, cfg.n_traj)
-    hstats = {name: hitting_time_stats(records, name, T) for name in STOPPING_TIME_NAMES}
+    tracked = {row[0] for row in tracker_rows(cfg.trajectory)}
+    hstats = {name: hitting_time_stats(records, name, T, name in tracked)
+              for name in STOPPING_TIME_NAMES}
     summary = EnsembleSummary(
         n_traj=cfg.n_traj, master_seed=cfg.master_seed,
         survival_prob=p_surv, survival_interval=ci_surv, survival_horizon=T,
@@ -232,7 +239,9 @@ def compare_with_theory(summary: EnsembleSummary, report, T: float | None = None
 
     A check may only return 'violated' when the empirical confidence interval
     excludes the theoretical bound entirely on its forbidden side; positive
-    probability claims can never be violated, only 'inconclusive'.
+    probability claims can never be violated, only 'inconclusive'.  The
+    E(tau_delta) verdict reads the first of tau_delta_energy and
+    tau_delta_mass that the ensemble tracked, and is left out if neither was.
     """
     if summary.config_hash != report.config_hash:
         raise ValueError("configuration hash mismatch between summary and report")
@@ -247,9 +256,10 @@ def compare_with_theory(summary: EnsembleSummary, report, T: float | None = None
             summary.survival_interval, t_star))
 
     if t_star is not None and math.isfinite(t_star):
-        hs = summary.hitting_times.get("tau_delta_energy") or \
-             summary.hitting_times.get("tau_delta_mass")
-        if hs is not None:
+        name = next((name for name in ("tau_delta_energy", "tau_delta_mass")
+                     if summary.hitting_times.get(name, {}).get("tracked")), None)
+        if name is not None:
+            hs = summary.hitting_times[name]
             mean_c = hs["mean_censored"]
             n = hs["n"]
             if hs["censored_count"] == 0 and n > 1:
@@ -260,7 +270,7 @@ def compare_with_theory(summary: EnsembleSummary, report, T: float | None = None
                     v = "consistent" if mean_c >= t_star else "inconclusive"
             else:
                 v = "consistent" if mean_c >= t_star else "inconclusive"
-            verdicts.append({"bound": "E(tau_delta) >= T* (censored)",
+            verdicts.append({"bound": "E(tau_delta) >= T* (censored)", "stopping_time": name,
                              "theoretical": t_star, "empirical": mean_c,
                              "censored_count": hs["censored_count"], "verdict": v})
 

@@ -1,15 +1,33 @@
 """Ground state Q of  -Q + Lap Q + Q^(2 sigma + 1) = 0  and derived constants.
 
 In 1d the profile is explicit, Q(x) = (1+sigma)^(1/(2 sigma)) sech^(1/sigma)(sigma x),
-and all norms are Beta-function closed forms, so 1d runs never import
-scipy.integrate (about 25 MB of resident memory).  In 2d/3d
-the radial profile is found by shooting on Q(0) with bisection between the
-oscillating (undershoot) and sign-changing (overshoot) branches, integrating
+and all norms are Beta-function closed forms.  In 2d/3d the radial profile solves
 
-    Q'' + (n-1)/r Q' - Q + Q^(2 sigma + 1) = 0,   Q'(0) = 0,
+    Q'' + (n-1)/r Q' - Q + Q^p = 0,   p = 2 sigma + 1,   Q'(0) = 0,
 
-with the radial norm integrals accumulated alongside the ODE state.  Every
-returned GroundState is validated against the two Pokhozhaev identities
+by Chebyshev collocation on r in [0, 30] with Q(30) = 0 (Trefethen, Spectral
+Methods in MATLAB, SIAM 2000).  The row at r = 0 is the limit of the
+equation, n Q''(0) - Q + Q^p = 0.  Petviashvili's iteration (Pelinovsky &
+Stepanyants, SIAM J. Numer. Anal. 42, 2004) finds the positive solution from
+2 exp(-r^2/2) and stops at a relative step of 1e-8; Newton's method then
+polishes it.
+
+The solver picks its own degree N (N + 1 nodes).  It tries N = 64, 96, ...,
+728 in turn, each level starting from the interpolated solution of the last,
+and stops at the first whose Chebyshev coefficients over the last eighth are
+below 1e-10 of the largest.  Levels whose coefficients are still above 1e-5
+are solved by Petviashvili's iteration, finer ones by Newton's method alone.
+The 3d cubic Q resolves at N = 144; sigma = 1.8 in 3d needs N = 486.
+M(Q), ||grad Q||^2 and ||Q||^(2 sigma+2) are Clenshaw-Curtis sums, and the
+profile (r, Q) samples the collocation polynomial in barycentric form up to
+the radius where Q falls to max(1e-9, 1e-10 Q(0)).
+
+Every product and solve is elementwise numpy or einsum, never BLAS or LAPACK:
+their threaded kernels would make the last bits of Q, and every constant
+derived from it, depend on the thread count.  The results are bitwise the
+same for any OPENBLAS_NUM_THREADS.  No run imports scipy.integrate.
+
+Every returned GroundState is validated against the two Pokhozhaev identities
 
     ||grad Q||^2        = n sigma / (2 - (n-2) sigma) * M(Q)
     ||Q||_{2s+2}^{2s+2} = 2 (sigma+1) / (2 - (n-2) sigma) * M(Q)
@@ -204,106 +222,188 @@ def _norms_1d(sigma: float):
     return m, g, p
 
 
-def _shoot_once(n, sigma, a, r_max):
-    """Integrate from Q(0)=a; classify 'over' (sign change) or 'under' (turns up)."""
-    from scipy.integrate import solve_ivp  # 2d/3d only
+# The radial solve: Chebyshev collocation on [0, _RADIUS] with Q(_RADIUS) = 0.
+_RADIUS = 30.0
+# Polynomial degrees N (N + 1 nodes) tried in turn; each level starts from the last.
+_DEGREES = (64, 96, 144, 216, 324, 486, 728)
+_TAIL_NEWTON = 1e-5     # levels with a larger tail are solved by Petviashvili's iteration
+_TAIL_RESOLVED = 1e-10  # Chebyshev tail of a resolved profile, relative to its largest coefficient
+_PETVIASHVILI_STEP = 1e-8
+_NEWTON_STEP = 1e-11
+_SAMPLES = 2048
+_R0 = 1e-8
+_BLOCK = 32
+
+
+def _matvec(a, v):
+    return np.einsum("ij,j->i", a, v)
+
+
+def _gauss_solve(a, b):
+    """x with a x = b (b a vector or a matrix), by blocked Gaussian elimination
+    with partial pivoting in elementwise operations and einsum, never BLAS.
+
+    Each panel of _BLOCK columns is eliminated one column at a time; its row
+    block of the right part then takes the panel's unit lower factor, and
+    the trailing block one rank-_BLOCK update.
+    """
+    n = len(a)
+    m = np.column_stack((a, b))
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        for k in range(k0, k1):
+            p = k + int(np.argmax(np.abs(m[k:, k])))
+            if p != k:
+                m[[k, p]] = m[[p, k]]
+            m[k + 1:, k] /= m[k, k]
+            m[k + 1:, k + 1:k1] -= m[k + 1:, k, None] * m[k, k + 1:k1]
+        for k in range(k0, k1 - 1):
+            m[k + 1:k1, k1:] -= m[k + 1:k1, k, None] * m[k, k1:]
+        m[k1:, k1:] -= np.einsum("ik,kj->ij", m[k1:, k0:k1], m[k0:k1, k1:])
+    x = np.empty(m[:, n:].shape)
+    for k in range(n - 1, -1, -1):
+        x[k] = (m[k, n:] - np.einsum("j,j...->...", m[k, k + 1:n], x[k + 1:])) / m[k, k]
+    return x.reshape(np.shape(b))
+
+
+class _Collocation:
+    """Chebyshev collocation of  Q'' + (n-1)/r Q' - Q + Q^p = 0  at degree N.
+
+    The nodes are r_j = R (1 - x_j)/2 with x_j = cos(pi j/N), so r_0 = 0 and
+    r_N = R, where Q = 0 is imposed; the unknowns are Q at r_0 .. r_{N-1}.
+    Row 0 is the limit r -> 0 of the equation, n Q''(0) - Q + Q^p = 0.
+    """
+
+    def __init__(self, n: int, degree: int):
+        N = self.degree = degree
+        j = np.arange(N + 1)
+        self.x = np.sin(np.pi * (N - 2 * j) / (2 * N))  # cos(pi j/N), exactly symmetric
+        self.r = _RADIUS * (1.0 - self.x) / 2.0
+        # Differentiation matrices in x (Weideman & Reddy, ACM TOMS 26, 2000),
+        # with x_i - x_j taken from a product of sines for accuracy.
+        c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+        dx = 2.0 * np.sin(np.pi * (j[:, None] + j) / (2 * N)) \
+            * np.sin(np.pi * (j - j[:, None]) / (2 * N))
+        np.fill_diagonal(dx, 1.0)
+        z = 1.0 / dx
+        np.fill_diagonal(z, 0.0)
+        ratio = c[:, None] / c
+        d = np.eye(N + 1)
+        dx_k = []
+        for k in (1, 2):
+            d = k * z * (ratio * np.diag(d)[:, None] - d)
+            np.fill_diagonal(d, 0.0)
+            np.fill_diagonal(d, -d.sum(axis=1))
+            dx_k.append(d)
+        scale = -2.0 / _RADIUS  # dx/dr
+        self.d1 = scale * dx_k[0]
+        lap = scale**2 * dx_k[1][:N, :N]
+        lap[1:] += ((n - 1) / self.r[1:N])[:, None] * self.d1[1:N, :N]
+        lap[0] *= n
+        self.m = np.eye(N) - lap  # the equation reads m Q = Q^p
+        # Clenshaw-Curtis weights on [0, R], times the radial measure r^(n-1)
+        theta = np.pi * j / N
+        k = np.arange(1, N // 2 + 1)
+        b = np.where(k < N // 2, 2.0, 1.0) / (4.0 * k * k - 1.0)
+        w = 2.0 / N * (1.0 - np.einsum("k,kj->j", b, np.cos(2.0 * np.outer(k, theta))))
+        w[0] = w[N] = 1.0 / (N * N - 1.0)
+        self.w = w * (_RADIUS / 2.0) * self.r ** (n - 1)
+        self.bary = np.where((j == 0) | (j == N), 0.5, 1.0) * (-1.0) ** j
+
+    def full(self, q):
+        return np.append(q, 0.0)
+
+    def interpolate(self, q, r):
+        """The collocation polynomial of Q (unknowns q) at radii r (barycentric form)."""
+        f = self.full(q)
+        diff = (1.0 - 2.0 * np.asarray(r, dtype=float) / _RADIUS)[..., None] - self.x
+        exact = diff == 0.0
+        kern = self.bary / np.where(exact, 1.0, diff)
+        out = np.einsum("...j,j->...", kern, f) / kern.sum(axis=-1)
+        node = exact.any(axis=-1)
+        if np.any(node):
+            out[node] = f[np.argmax(exact[node], axis=-1)]
+        return out
+
+    def tail(self, q) -> float:
+        """Largest Chebyshev coefficient of the last eighth, over the largest one."""
+        f = self.full(q)
+        a = np.abs(np.fft.rfft(np.concatenate((f, f[-2:0:-1]))).real)
+        return float(a[-(self.degree // 8):].max() / a.max())
+
+
+def _petviashvili(col: _Collocation, q, p: float):
+    """Q = S^g m^-1 Q^p with S = <Q, m Q>/<Q, Q^p>, g = p/(p-1), iterated from q
+    to a relative step of _PETVIASHVILI_STEP (Pelinovsky & Stepanyants 2004).
+
+    Returns None when it does not converge, as on a level too coarse for Q.
+    """
+    m_inv = _gauss_solve(col.m, np.eye(col.degree))
+    w = col.w[:-1]
+    for _ in range(2000):
+        qp = np.abs(q) ** (p - 1.0) * q
+        s = np.sum(w * q * _matvec(col.m, q)) / np.sum(w * q * qp)
+        q_next = s ** (p / (p - 1.0)) * _matvec(m_inv, qp)
+        step = np.max(np.abs(q_next - q)) / np.max(np.abs(q_next))
+        q = q_next
+        if step < _PETVIASHVILI_STEP:
+            return q
+    return None
+
+
+def _newton(col: _Collocation, q, p: float):
+    """Newton's method on  Q^p - m Q = 0  from q, to a relative step of _NEWTON_STEP."""
+    for _ in range(20):
+        qp1 = np.abs(q) ** (p - 1.0)
+        jac = -col.m
+        jac[np.diag_indices_from(jac)] += p * qp1
+        delta = _gauss_solve(jac, _matvec(col.m, q) - qp1 * q)
+        q = q + delta
+        if np.max(np.abs(delta)) <= _NEWTON_STEP * np.max(np.abs(q)):
+            return q
+    raise GroundStateError(f"Newton's method did not converge at degree {col.degree}")
+
+
+def _solve_radial(n, sigma):
+    """M, ||grad Q||^2, ||Q||^(2s+2) and the sampled profile (r, Q) in 2d/3d."""
     p = 2.0 * sigma + 1.0
-    r0 = 1e-8
-
-    def rhs(r, y):
-        q, dq = y
-        return [dq, q - np.sign(q) * np.abs(q) ** p - (n - 1) * dq / r]
-
-    g0 = a - a**p
-    y0 = [a + g0 * r0**2 / (2.0 * n), g0 * r0 / n]
-
-    def ev_cross(r, y):
-        return y[0]
-
-    ev_cross.terminal = True
-    ev_cross.direction = -1
-
-    def ev_turn(r, y):
-        return y[1]
-
-    ev_turn.terminal = True
-    ev_turn.direction = 1
-
-    sol = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=1e-12, atol=1e-14,
-                    events=(ev_cross, ev_turn), dense_output=False)
-    if sol.t_events[0].size:
-        return "over"
-    if sol.t_events[1].size:
-        return "under"
-    return "decay"
-
-
-def _solve_radial(n, sigma, tol):
-    from scipy.integrate import solve_ivp  # 2d/3d only
-
-    # Bracket the critical amplitude: small a undershoots, large a overshoots.
-    r_max = 30.0
-    lo = 1.0 + 1e-6
-    hi = 2.0
-    while _shoot_once(n, sigma, hi, r_max) != "over":
-        hi *= 2.0
-        if hi > 1e4:
-            raise GroundStateError("shooting failed")
-    if _shoot_once(n, sigma, lo, r_max) == "over":
-        raise GroundStateError("shooting failed")
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    col, q, tail = None, None, math.inf
+    for degree in _DEGREES:
+        nxt = _Collocation(n, degree)
+        q = 2.0 * np.exp(-nxt.r[:-1] ** 2 / 2.0) if q is None else col.interpolate(q, nxt.r[:-1])
+        col = nxt
+        if tail > _TAIL_NEWTON:
+            q = _petviashvili(col, q, p)
+            if q is None:
+                continue
+            tail = col.tail(q)
+            if tail > _TAIL_NEWTON:
+                continue
+        q = _newton(col, q, p)
+        tail = col.tail(q)
+        if tail <= _TAIL_RESOLVED:
             break
-        if _shoot_once(n, sigma, mid, r_max) == "over":
-            hi = mid
-        else:
-            lo = mid
-    a = 0.5 * (lo + hi)
+    if q is None:
+        raise GroundStateError("Petviashvili's iteration did not converge")
 
-    # Final pass with norm accumulators; stop once the tail is far below tol.
-    p = 2.0 * sigma + 1.0
-    r0 = 1e-8
-    floor = max(1e-9, a * 1e-10)
+    qf = col.full(q)
+    area = {2: 2.0 * np.pi, 3: 4.0 * np.pi}[n]
+    m = area * np.sum(col.w * qf**2)
+    g = area * np.sum(col.w * _matvec(col.d1, qf) ** 2)
+    lp = area * np.sum(col.w * np.abs(qf) ** (2.0 * sigma + 2.0))
 
-    def rhs(r, y):
-        q, dq = y[0], y[1]
-        qa = abs(q)
-        w = r ** (n - 1)
-        return [
-            dq,
-            q - np.sign(q) * qa**p - (n - 1) * dq / r,
-            w * q * q,
-            w * dq * dq,
-            w * qa ** (2.0 * sigma + 2.0),
-        ]
-
-    g0 = a - a**p
-    y0 = [a + g0 * r0**2 / (2.0 * n), g0 * r0 / n, 0.0, 0.0, 0.0]
-
-    def ev_floor(r, y):
-        return y[0] - floor
-
-    ev_floor.terminal = True
-    ev_floor.direction = -1
-
-    sol = solve_ivp(rhs, (r0, 16.0), y0, method="DOP853", rtol=1e-12, atol=1e-14,
-                    events=(ev_floor,), dense_output=True)
-    r_e = float(sol.t[-1])
-    q_e = float(sol.y[0, -1])
-    i2, igrad, i2s2 = (float(v) for v in sol.y[2:5, -1])
-    # Matched tail Q ~ q_e (r_e/r)^((n-1)/2) e^{-(r - r_e)}; leading-order integrals.
-    w_e = r_e ** (n - 1)
-    i2 += w_e * q_e**2 / 2.0
-    igrad += w_e * q_e**2 / 2.0
-    i2s2 += w_e * q_e ** (2.0 * sigma + 2.0) / (2.0 * sigma + 2.0)
-
-    area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[n]
-    m, g, lp = area * i2, area * igrad, area * i2s2
-
-    r_samples = np.linspace(r0, r_e, 2048)
-    profile = sol.sol(r_samples)[0]
-    return a, m, g, lp, r_samples, profile
+    # Sample up to the radius r_e where Q falls to the floor, located on
+    # ever finer grids of the bracketing node interval; profile_at continues
+    # with the e^{-r} asymptotics beyond it.
+    floor = max(1e-9, q[0] * 1e-10)
+    k = int(np.argmax(qf < floor))
+    lo, hi = col.r[k - 1], col.r[k]
+    for _ in range(4):
+        rs = np.linspace(lo, hi, 65)
+        k = int(np.argmax(col.interpolate(q, rs) < floor))
+        lo, hi = rs[k - 1], rs[k]
+    r = np.linspace(_R0, lo, _SAMPLES)
+    return m, g, lp, r, col.interpolate(q, r)
 
 
 def solve_ground_state(n: int, sigma: float, tol: float | None = None) -> GroundState:
@@ -322,7 +422,7 @@ def solve_ground_state(n: int, sigma: float, tol: float | None = None) -> Ground
         r = np.linspace(0.0, 30.0 / sigma, 2048)
         profile = explicit_q_1d(sigma, r)
     else:
-        _, m, g, lp, r, profile = _solve_radial(n, sigma, tol)
+        m, g, lp, r, profile = _solve_radial(n, sigma)
 
     s_c = scaling_index(n, sigma)
     energy = 0.5 * g - lp / (2.0 * sigma + 2.0)

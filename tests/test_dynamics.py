@@ -305,6 +305,24 @@ def test_config_validation(gs_1d_s2):
         run_trajectory(cfg, q, None, 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_admissible_range_is_critical_to_below_energy_critical(n):
+    # SimConfig accepts exactly the sigma with 0 <= s_c = n/2 - 1/sigma < 1,
+    # counting |s_c| < 1e-12 as critical, and rejects the rest with one message
+    edges = [2.0 / n, 2.0 / n - 1e-9, 2.0 / n + 1e-9, 2.0, 2.0 - 1e-9, 2.0 + 1e-9]
+    for sigma in [*np.linspace(0.1, 5.0, 50), *edges]:
+        s_c = n / 2.0 - 1.0 / sigma
+        kw = dict(n=n, sigma=float(sigma), noise_type="none", dt0=0.1, T_end=1.0,
+                  grad_threshold=10.0)
+        if abs(s_c) < 1e-12 or 0.0 <= s_c < 1.0:
+            assert SimConfig(**kw).sigma == sigma
+        else:
+            with pytest.raises(ValueError, match="^sigma outside the admissible "
+                                                 "critical/intercritical ranges; set "
+                                                 "allow_conditional_regime=True to run anyway$"):
+                SimConfig(**kw)
+
+
 def test_adaptive_dt_refines_on_growth(gs_1d_s2):
     grid = GridSpec(1, 30.0, 1024)
     q = ground_state_field(gs_1d_s2, grid)

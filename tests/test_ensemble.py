@@ -1,13 +1,14 @@
 import gzip
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snls.dynamics import GroundStateRefs, SimConfig, run_trajectory
+from snls.dynamics import GroundStateRefs, SimConfig, StoppingThresholds, run_trajectory
 from snls.ensemble import (
     EnsembleConfig,
     compare_with_theory,
@@ -162,6 +163,27 @@ def test_compare_zero_survivors_is_inconclusive(small_ensemble_cfg):
     verdicts = compare_with_theory(summary, rep)
     surv = [v for v in verdicts if "survival" in v["bound"]]
     assert surv[0]["verdict"] == "inconclusive"  # never "violated" for P > 0 claims
+
+
+def test_hitting_time_verdict_reads_the_tracked_stopping_time(small_ensemble_cfg):
+    # delta_mass is set and delta_energy is not; u0 starts above delta_mass^2 M(Q),
+    # so every path hits tau_delta_mass at t = 0
+    sim = replace(small_ensemble_cfg.trajectory, thresholds=StoppingThresholds(delta_mass=0.7))
+    cfg = replace(small_ensemble_cfg, n_traj=4, trajectory=sim,
+                  initial_data=InitialData("scaled_ground_state", {"mass_fraction": 0.5}))
+    summary, _ = run_ensemble(cfg)
+    verdicts = compare_with_theory(summary, _report("h1", T_star_add_crit=1.0))
+    (v,) = [v for v in verdicts if v["bound"].startswith("E(tau_delta)")]
+    assert v["empirical"] == 0.0 and v["censored_count"] == 0
+    assert v["stopping_time"] == "tau_delta_mass"
+    assert v["verdict"] == "violated"
+    hs = summary.hitting_times
+    assert hs["tau_delta_mass"]["tracked"] and hs["tau_delta_mass"]["censored_count"] == 0
+    assert not hs["tau_delta_energy"]["tracked"]
+    # with neither tracker enabled there is no hitting-time verdict at all
+    summary, _ = run_ensemble(replace(cfg, trajectory=small_ensemble_cfg.trajectory))
+    verdicts = compare_with_theory(summary, _report("h1", T_star_add_crit=1.0))
+    assert not [v for v in verdicts if v["bound"].startswith("E(tau_delta)")]
 
 
 def test_drift_check_verdicts(small_ensemble_cfg):

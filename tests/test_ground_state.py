@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import snls
 from snls.ground_state import (
     GroundStateError,
     alpha_exponent,
@@ -177,3 +182,46 @@ def test_profile_at_matches_explicit():
     gs3 = solve_ground_state(3, 1.0)
     # spline consistency at the sample points themselves
     assert np.max(np.abs(gs3.profile_at(gs3.r) - gs3.profile)) < 1e-12
+
+
+# Q(1e-8), M, ||grad Q||^2 and ||Q||^(2s+2) from the radial shooting solver that
+# the collocation solver replaced (bisection on Q(0), DOP853 at rtol 1e-12).
+SHOOTING_REFERENCE = {
+    (2, 1.0): (2.2062008646504996, 11.700896524572006, 11.700896524546188, 23.40179304911689),
+    (2, 1.5): (2.0853301695030004, 6.301356017759735, 9.452034026621945, 15.753390044381055),
+    (2, 3.0): (1.8890429628255647, 2.040474527817686, 6.121423583409795, 8.161898111224582),
+    (3, 0.7): (4.197129816284904, 55.921327598880715, 90.33445227522441, 146.25577987410875),
+    (3, 1.0): (4.3373876799771365, 18.89725130256801, 56.69175390761319, 75.58900521017934),
+    (3, 1.5): (5.22387856072981, 3.1941966969851383, 28.747770272513574, 31.941966969482237),
+    (3, 1.8): (7.405395954833135, 0.6983363130025767, 18.855080450399225, 19.553416763381126),
+}
+
+
+@pytest.mark.parametrize("n,sigma", sorted(SHOOTING_REFERENCE))
+def test_radial_solver_matches_shooting_reference(n, sigma):
+    gs = solve_ground_state(n, sigma)
+    got = (gs.profile[0], gs.mass, gs.grad_sq, gs.lp2s2)
+    for value, ref in zip(got, SHOOTING_REFERENCE[n, sigma]):
+        assert value == pytest.approx(ref, rel=1e-9)
+    assert max(gs.pokhozhaev_residuals()) <= gs.tol
+    assert np.all(gs.profile > 0) and np.all(np.diff(gs.profile) < 1e-12)
+
+
+def test_radial_solver_is_bitwise_independent_of_blas_threads():
+    # (3, 1.8) solves at degree 486, where LAPACK's dgesv gives different bits
+    # under 1 and 2 OpenBLAS threads
+    code = ("import hashlib, numpy as np; from snls.ground_state import solve_ground_state\n"
+            "for n, sigma in ((2, 1.0), (3, 1.0), (3, 1.8)):\n"
+            "    gs = solve_ground_state(n, sigma)\n"
+            "    v = [gs.mass, gs.grad_sq, gs.lp2s2, gs.energy, gs.C_GN]\n"
+            "    print(hashlib.sha256(np.array(v).tobytes() + gs.r.tobytes()"
+            " + gs.profile.tobytes()).hexdigest())\n")
+    src = str(Path(snls.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+    assert len(out[0].split()) == 3
+    assert out[0] == out[1]
