@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one hash per preset over the records of a small ensemble.
 
-A hash is the sha256 of every sample's values as float64 bytes, followed per
+A hash is the sha256 of each record's samples as float64 bytes, followed per
 record by repr((kind, time, reason, dt_final)) of its terminal status, and is
 printed as its first 16 hex digits.  Every preset runs 6 trajectories with
 master_seed 11, except blowup-mult (2) and det-critical-above and
@@ -21,7 +21,6 @@ import numpy as np
 from snls.config import ensemble_config
 from snls.ensemble import run_ensemble
 from snls.ground_state import solve_ground_state
-from snls.observables import sample_values
 from snls.presets import get_preset, preset_names
 
 N_TRAJ = {"blowup-mult": 2, "det-critical-above": 1, "mult-intercritical-3d-cubic": 1}
@@ -33,8 +32,7 @@ GROUND_STATES = ((2, 1.0), (3, 1.0))
 def records_hash(records) -> str:
     h = hashlib.sha256()
     for rec in records:
-        for s in rec.samples:
-            h.update(np.array(sample_values(s), dtype=np.float64).tobytes())
+        h.update(rec.values.tobytes())
         st = rec.status
         h.update(repr((st.kind, st.time, st.reason, rec.dt_final)).encode())
     return h.hexdigest()[:16]

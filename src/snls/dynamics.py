@@ -13,7 +13,9 @@ the one it gets alone, in any batch and on any number of workers:
     row's normals from its own stream and runs one inverse FFT over all rows;
   * its own t, dt and step decisions: the linear propagator is looked up per
     dt and stacked when rows differ (adaptive halving, a clipped last step);
-  * its own trackers, samples and status.  A row that is not finite, blows
+  * its own trackers, samples and status.  A row's samples are tuples of
+    floats in observables.SAMPLE_KEYS order, and record(row) returns them as
+    one (records, keys) float64 array.  A row that is not finite, blows
     up, shows a spectral tail or reaches the end stops alone, and the field
     arrays are compacted to the rows that go on;
   * reductions run row by row: a.reshape(B, -1).sum(axis=1) sums each row
@@ -79,7 +81,7 @@ from .grid import (FieldState, GridSpec, abs2_power, fft_field, ifft_field, mass
                    tail_fraction_rows)
 from .ground_state import GroundState, classify_regime
 from .noise_model import CovarianceSpec, NoiseSampler, make_rng
-from .observables import SAMPLE_KEYS, observe_rows, sample_values
+from .observables import SAMPLE_KEYS, ObservableSample, observe_rows
 
 __all__ = [
     "AdaptSpec",
@@ -96,6 +98,8 @@ __all__ = [
     "tracker_rows",
     "STOPPING_TIME_NAMES",
 ]
+
+_T, _GRAD_SQ = SAMPLE_KEYS.index("t"), SAMPLE_KEYS.index("grad_sq")
 
 STOPPING_TIME_NAMES = (
     "tau_delta_energy",    # sup H(u) M0^a >= delta_e H(Q) M(Q)^a
@@ -196,19 +200,27 @@ class TerminalStatus:
 
 @dataclass
 class TrajectoryRecord:
-    samples: list
+    """One path; values holds its samples as float64 rows in SAMPLE_KEYS column order."""
+
+    values: np.ndarray
     status: TerminalStatus
     hit_times: dict
     seed: object
     dt_final: float
     config_hash: str | None = None
 
+    @property
+    def samples(self) -> list:
+        """The rows of values as ObservableSamples, built on each access.
+
+        Only readers that want named fields use it: the tests and the
+        benchmark's mass check on mult-3d-32 (perfbench/workloads.py).
+        """
+        return [ObservableSample(*row) for row in self.values.tolist()]
+
     def sample_arrays(self):
         """Column arrays keyed by observable name, for aggregation."""
-        if not self.samples:
-            return {}
-        columns = np.array([sample_values(s) for s in self.samples]).T.copy()
-        return dict(zip(SAMPLE_KEYS, columns))
+        return dict(zip(SAMPLE_KEYS, self.values.T.copy()))
 
     def to_summary_dict(self):
         return {
@@ -216,7 +228,7 @@ class TrajectoryRecord:
             "hit_times": dict(self.hit_times),
             "seed": list(self.seed) if isinstance(self.seed, tuple) else self.seed,
             "dt_final": self.dt_final,
-            "n_samples": len(self.samples),
+            "n_samples": len(self.values),
             "config_hash": self.config_hash,
         }
 
@@ -342,7 +354,8 @@ class Trajectory:
         self._sampler = sampler
         n = len(u0s)
         self._m0 = [mass(u) for u in u0s]
-        self._trackers = tracker_rows(config)
+        self._trackers = [(name, SAMPLE_KEYS.index(key), cmp, limit)
+                          for name, key, cmp, limit in tracker_rows(config)]
         self._hits = [dict.fromkeys(STOPPING_TIME_NAMES) for _ in range(n)]
         self._samples = [[] for _ in range(n)]
         self._status: list[TerminalStatus | None] = [None] * n
@@ -351,7 +364,7 @@ class Trajectory:
         self.step = 0
         self.live = list(range(n))
         vals = np.stack([u.values for u in u0s])
-        grad0 = [s.grad_sq for s in self._sample(FieldState(g, vals), self.live)]
+        grad0 = [v[_GRAD_SQ] for v in self._sample(FieldState(g, vals), self.live)]
         if any(x >= config.grad_threshold**2 for x in grad0):
             raise ValueError("grad_threshold must exceed the initial gradient norm")
         self.grad_ref = [max(x, 1e-300) for x in grad0]
@@ -363,27 +376,28 @@ class Trajectory:
         """Observe u, the states of `rows` at their times, and update their trackers."""
         samples = observe_rows(u, [self.t[row] for row in rows], [self._m0[row] for row in rows],
                                self.config.alpha_or_zero, self.config.sigma)
-        for row, s in zip(rows, samples):
-            self._samples[row].append(s)
+        for row, v in zip(rows, samples):
+            self._samples[row].append(v)
             hits = self._hits[row]
-            for name, key, cmp, limit in self._trackers:
-                if hits[name] is None and cmp(getattr(s, key), limit):
-                    hits[name] = s.t
+            for name, col, cmp, limit in self._trackers:
+                if hits[name] is None and cmp(v[col], limit):
+                    hits[name] = v[_T]
         return samples
 
     def _record(self, u: FieldState, rows: list):
         """Sample `rows` (u holds their states) and run the checks made at a record:
         blow-up, spectral tail and the adaptive dt."""
         cfg = self.config
-        for row, s, tail in zip(rows, self._sample(u, rows), tail_fraction_rows(u)):
-            if s.grad_sq >= cfg.grad_threshold**2:
-                self._status[row] = TerminalStatus("blownup", s.t)
+        for row, v, tail in zip(rows, self._sample(u, rows), tail_fraction_rows(u)):
+            t, grad_sq = v[_T], v[_GRAD_SQ]
+            if grad_sq >= cfg.grad_threshold**2:
+                self._status[row] = TerminalStatus("blownup", t)
             elif tail > cfg.tail_fraction_max:
-                self._status[row] = TerminalStatus("blownup", s.t, "spectral tail")
-            elif cfg.adapt is not None and s.grad_sq > cfg.adapt.growth_factor * self.grad_ref[row]:
+                self._status[row] = TerminalStatus("blownup", t, "spectral tail")
+            elif cfg.adapt is not None and grad_sq > cfg.adapt.growth_factor * self.grad_ref[row]:
                 if self.dt[row] > cfg.adapt.dt_min:
                     self.dt[row] = max(self.dt[row] / 2.0, cfg.adapt.dt_min)
-                self.grad_ref[row] = s.grad_sq
+                self.grad_ref[row] = grad_sq
 
     def _fail(self, row: int):
         """End a row as failed at its current t."""
@@ -476,8 +490,8 @@ class Trajectory:
         return bool(self.live)
 
     def record(self, row: int) -> TrajectoryRecord:
-        """Row's path so far; its status is None while it goes on."""
-        return TrajectoryRecord(samples=self._samples[row], status=self._status[row],
+        """Row's path so far, its samples as one array; its status is None while it goes on."""
+        return TrajectoryRecord(values=np.array(self._samples[row]), status=self._status[row],
                                 hit_times=self._hits[row], seed=self.seeds[row],
                                 dt_final=self.dt[row])
 

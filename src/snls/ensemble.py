@@ -24,7 +24,7 @@ from .grid import GridSpec, mass
 from .ground_state import GroundState
 from .initial_data import InitialData, initial_state
 from .noise_model import CovarianceSpec, NoiseConstants, NoiseSampler
-from .observables import SAMPLE_KEYS, observe, sample_values
+from .observables import SAMPLE_KEYS, observe
 from .schema import plain
 
 __all__ = [
@@ -157,12 +157,11 @@ def _run_chunk(cfg: EnsembleConfig, indices, out_dir: str | None = None,
 
 
 def _mean_paths(records):
-    done = [r for r in records if r.samples]
+    done = [r for r in records if len(r.values)]
     if not done:
         return {}
-    n_common = min(len(r.samples) for r in done)
-    # (trajectory, sample, observable), reading each sample once
-    cube = np.array([[sample_values(s) for s in r.samples[:n_common]] for r in done])
+    n_common = min(len(r.values) for r in done)
+    cube = np.array([r.values[:n_common] for r in done])  # (trajectory, sample, observable)
     t = cube[0, :, 0].copy()
     out = {}
     for j, key in enumerate(SAMPLE_KEYS[1:], start=1):
@@ -184,8 +183,8 @@ def persist_records(records, out_dir: str, compress: bool = False, start: int = 
         path = os.path.join(out_dir, f"traj_{i:05d}.jsonl" + (".gz" if compress else ""))
         opener = gzip.open if compress else open
         with opener(path, "wt") as fh:
-            for s in rec.samples:
-                fh.write(json.dumps(s.to_dict()) + "\n")
+            for row in rec.values.tolist():
+                fh.write(json.dumps(dict(zip(SAMPLE_KEYS, row))) + "\n")
             fh.write(json.dumps({"terminal": rec.to_summary_dict()}) + "\n")
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "GroundStateError",
     "scaling_index",
     "classify_regime",
-    "alpha_exponent",
     "explicit_q_1d",
     "solve_ground_state",
     "sharp_gn_constant",
@@ -80,14 +79,6 @@ def classify_regime(n: int, sigma: float) -> str:
     if s_c == 1:
         return "energy-critical"
     return "energy-supercritical"
-
-
-def alpha_exponent(n: int, sigma: float) -> float:
-    """alpha = (1 - s_c)/s_c, the mass exponent of the scale-invariant pairings."""
-    s_c = scaling_index(n, sigma)
-    if not 0.0 < s_c < 1.0:
-        raise ValueError("alpha undefined outside intercritical range")
-    return (1.0 - s_c) / s_c
 
 
 def explicit_q_1d(sigma: float, x) -> np.ndarray | float:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -23,8 +22,8 @@ from .grid import (
 )
 from .ground_state import GroundState
 
-__all__ = ["ObservableSample", "SAMPLE_KEYS", "sample_values", "observe_rows", "observe",
-           "momentum_rows", "classify_dichotomy", "DichotomyReport"]
+__all__ = ["ObservableSample", "SAMPLE_KEYS", "observe_rows", "observe", "momentum_rows",
+           "classify_dichotomy", "DichotomyReport"]
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,8 @@ class ObservableSample:
     me_product: float               # H(u) * (frozen initial mass)^alpha
     boundary_mass_fraction: float
 
-    def to_dict(self):
-        return dict(zip(SAMPLE_KEYS, sample_values(self)))
 
-
-SAMPLE_KEYS = tuple(f.name for f in fields(ObservableSample))  # the to_dict keys, in order
-sample_values = operator.attrgetter(*SAMPLE_KEYS)  # one sample -> tuple in SAMPLE_KEYS order
+SAMPLE_KEYS = tuple(f.name for f in fields(ObservableSample))  # the columns of a sample row
 
 
 @lru_cache(maxsize=16)
@@ -76,7 +71,8 @@ def momentum_rows(state: FieldState) -> list:
 
 
 def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
-    """All recorded scalars of each row of u, one ObservableSample per row.
+    """All recorded scalars of each row of u, one tuple of floats per row in
+    SAMPLE_KEYS order.
 
     u holds one field per row (a single field is one row); t and m0 give each
     row's time and frozen initial mass, which enters me_product = H * m0^alpha
@@ -102,22 +98,19 @@ def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
     columns = zip(t, m0, total, row_sums(abs2 * abs2_power(abs2, sigma), g).tolist(),
                   gradient_norm_sq_rows(u), variance_rows(g, abs2), momentum_rows(u),
                   boundary_fraction_rows(g, abs2, total))
-    samples = []
+    rows = []
     for t_row, m0_row, total_row, lp_row, grad_sq, variance, mom, boundary in columns:
         lp2s2 = h * lp_row
         energy = 0.5 * grad_sq - lp2s2 / p
-        samples.append(ObservableSample(
-            t=float(t_row), mass=h * total_row, energy=energy, grad_sq=grad_sq, lp2s2=lp2s2,
-            variance=variance, momentum=mom,
-            X=math.sqrt(grad_sq) * m0_row ** (alpha / 2.0), me_product=energy * m0_row**alpha,
-            boundary_mass_fraction=boundary,
-        ))
-    return samples
+        rows.append((float(t_row), h * total_row, energy, grad_sq, lp2s2, variance, mom,
+                     math.sqrt(grad_sq) * m0_row ** (alpha / 2.0), energy * m0_row**alpha,
+                     boundary))
+    return rows
 
 
 def observe(u: FieldState, t: float, m0: float, alpha: float, sigma: float) -> ObservableSample:
-    """observe_rows of one field at time t."""
-    return observe_rows(u, (t,), (m0,), alpha, sigma)[0]
+    """observe_rows of one field at time t, as one ObservableSample."""
+    return ObservableSample(*observe_rows(u, (t,), (m0,), alpha, sigma)[0])
 
 
 @dataclass(frozen=True)

@@ -143,8 +143,8 @@ def check_mass_conservation(seed=5, n_steps=2000):
     dt = 1e-4
     cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=dt, T_end=n_steps * dt,
                     grad_threshold=50.0, record_stride=n_steps)
-    rec = run_trajectory(cfg, u0, spec, (seed, 4))
-    drift = abs(rec.samples[-1].mass / rec.samples[0].mass - 1.0)
+    m = run_trajectory(cfg, u0, spec, (seed, 4)).sample_arrays()["mass"]
+    drift = abs(m[-1] / m[0] - 1.0)
     return bool(drift < 1e-11), f"relative mass drift {drift:.2e} over {n_steps} steps"
 
 

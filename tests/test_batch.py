@@ -11,7 +11,6 @@ from snls.ensemble import EnsembleConfig, drift_check, run_ensemble
 from snls.grid import FieldState, GridSpec, mass
 from snls.initial_data import InitialData, ground_state_field
 from snls.noise_model import CovarianceSpec, make_rng, noise_constants
-from snls.observables import sample_values
 
 
 def assert_rows_match_alone(cfg, u0s, spec, seeds):
@@ -21,7 +20,7 @@ def assert_rows_match_alone(cfg, u0s, spec, seeds):
             pass
         alone = [run_trajectory(cfg, u0, spec, seed) for u0, seed in zip(u0s, seeds)]
     for got, want in zip(batch.records(), alone):
-        assert [sample_values(s) for s in got.samples] == [sample_values(s) for s in want.samples]
+        assert got.values.tolist() == want.values.tolist()
         assert (got.status, got.hit_times, got.seed, got.dt_final) == (
             want.status, want.hit_times, want.seed, want.dt_final)
     return batch.records()

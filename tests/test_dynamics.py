@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from snls.dynamics import (
 )
 from snls.initial_data import ground_state_field
 from snls.noise_model import CovarianceSpec, NoiseSampler, make_rng
-from snls.observables import observe, sample_values
+from snls.observables import observe
 
 
 def refs_of(gs):
@@ -395,7 +396,9 @@ def test_fused_loop_matches_public_substeps(gs_1d_s2, name):
     if name == "adapt":
         assert dt_ref < cfg.dt0
     got = rec.sample_arrays()
-    for key, want in TrajectoryRecord(ref, rec.status, {}, None, dt_ref).sample_arrays().items():
+    ref_values = np.array([astuple(s) for s in ref])
+    for key, want in TrajectoryRecord(ref_values, rec.status, {}, None,
+                                      dt_ref).sample_arrays().items():
         # the boundary fraction is a share of the mass, ~1e-8 here: bulk rounding
         # lands on it in units of the whole mass
         scale = 1.0 if key == "boundary_mass_fraction" else np.max(np.abs(want))
@@ -411,13 +414,13 @@ def test_trajectory_advances_record_by_record(gs_1d_s2, name):
     while path.advance():
         assert path.record(0).samples[-1].t == path.t[0]
         now = observe(path.state(0), path.t[0], m0, cfg.alpha_or_zero, cfg.sigma)
-        assert sample_values(now) == sample_values(path.record(0).samples[-1])
+        assert now == path.record(0).samples[-1]
     assert path.record(0).status is not None
     n_samples = len(path.record(0).samples)
     assert path.advance() is False and path.advance() is False
     assert len(path.record(0).samples) == n_samples
     rec, direct = path.record(0), run_trajectory(cfg, u0, spec, seed=(5, 2))
-    assert [sample_values(s) for s in rec.samples] == [sample_values(s) for s in direct.samples]
+    assert rec.values.tolist() == direct.values.tolist()
     assert (rec.status, rec.hit_times, rec.dt_final) == (direct.status, direct.hit_times,
                                                          direct.dt_final)
 
@@ -492,9 +495,9 @@ def test_sample_arrays_match_to_dict(gs_1d_s2):
                     grad_threshold=1e3, record_stride=2, gs_refs=refs_of(gs_1d_s2))
     rec = run_trajectory(cfg, q, None, 0)
     arrays = rec.sample_arrays()
-    assert list(arrays) == list(rec.samples[0].to_dict())
+    assert list(arrays) == list(asdict(rec.samples[0]))
     for key, col in arrays.items():
-        assert np.array_equal(col, np.array([s.to_dict()[key] for s in rec.samples]))
+        assert np.array_equal(col, np.array([asdict(s)[key] for s in rec.samples]))
 
 
 @pytest.mark.parametrize("stride", [1, 5])

@@ -1,7 +1,9 @@
 import gzip
+import hashlib
 import json
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from snls.ensemble import (
 from snls.grid import GridSpec
 from snls.initial_data import InitialData, build_initial_data
 from snls.noise_model import CovarianceSpec, make_rng
+from snls.observables import SAMPLE_KEYS
 from snls.theory import TheoryReport
 
 
@@ -252,6 +255,28 @@ def test_persisted_records(tmp_path, small_ensemble_cfg):
     terminal = json.loads(lines[-1])["terminal"]
     assert terminal["config_hash"] == "h3"
     assert terminal["status"]["kind"] == "survived"
+
+
+def test_persisted_bytes_are_pinned(tmp_path, small_ensemble_cfg):
+    # the exact record-file bytes of a fixed ensemble, plain and inside a gzip file
+    cfg = replace(small_ensemble_cfg, n_traj=3, master_seed=1, config_hash="h3")
+    run_ensemble(cfg, out_dir=str(tmp_path / "plain"))
+    run_ensemble(cfg, out_dir=str(tmp_path / "gz"), compress=True)
+    plain = (tmp_path / "plain" / "traj_00000.jsonl").read_bytes()
+    assert hashlib.sha256(plain).hexdigest() == (
+        "36844c35d78fefd4742c7d0cc4d717fb17147fcc1d28686e78651de3bcadea61")
+    with gzip.open(tmp_path / "gz" / "traj_00001.jsonl.gz", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "7d48ae4559bcd2acec1e5dedcb5672db996ee25c3bc1b38665130ccde95d6569")
+
+
+def test_records_cross_the_pool_as_one_array(small_ensemble_cfg):
+    _, records = run_ensemble(replace(small_ensemble_cfg, parallel_workers=2))
+    for rec in records:
+        assert rec.values.dtype == np.float64 and rec.values.flags.c_contiguous
+        assert rec.values.shape == (len(rec.samples), len(SAMPLE_KEYS))
+        assert np.array_equal(rec.values, np.array([astuple(s) for s in rec.samples]))
+        assert b"ObservableSample" not in pickle.dumps(rec)
 
 
 def test_gzip_persistence_matches_plain_files(tmp_path, small_ensemble_cfg):

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 import snls
 from snls.ground_state import (
     GroundStateError,
-    alpha_exponent,
     classify_regime,
     energy_three_ways,
     explicit_q_1d,
@@ -33,15 +32,12 @@ def test_scaling_index_values():
 
 
 def test_alpha_exponent():
-    assert alpha_exponent(3, 1.0) == pytest.approx(1.0)
-    # both closed forms: (1-s_c)/s_c and (2-(n-2)sigma)/(n sigma - 2)
-    n, sigma = 1, 3.0
-    a1 = alpha_exponent(n, sigma)
-    a2 = (2.0 - (n - 2) * sigma) / (n * sigma - 2.0)
-    assert a1 == pytest.approx(a2, rel=1e-14)
-    assert a1 == pytest.approx(5.0)
-    with pytest.raises(ValueError, match="alpha undefined"):
-        alpha_exponent(1, 2.0)  # s_c = 0
+    # GroundState.alpha is (1-s_c)/s_c; check it against (2-(n-2)sigma)/(n sigma - 2)
+    for n, sigma, want in ((3, 1.0, 1.0), (1, 3.0, 5.0)):
+        alpha = solve_ground_state(n, sigma).alpha
+        assert alpha == pytest.approx((2.0 - (n - 2) * sigma) / (n * sigma - 2.0), rel=1e-14)
+        assert alpha == pytest.approx(want)
+    assert solve_ground_state(1, 2.0).alpha is None  # s_c = 0
 
 
 def test_explicit_profile_values():
