@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -39,17 +39,8 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "grid": self.grid,
-            "physics": self.physics,
-            "covariance": self.covariance,
-            "initial_data": self.initial_data,
-            "run": self.run,
-            "ensemble": self.ensemble,
-            "output": self.output,
-        }
+        """The config document, deep-copied: editing it leaves this config alone."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -178,7 +169,7 @@ def _build_kernel(grid: GridSpec, c: dict) -> np.ndarray:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(vars(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

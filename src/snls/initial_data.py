@@ -18,7 +18,7 @@ from .ground_state import GroundState
 from .noise_model import make_rng
 
 __all__ = ["InitialData", "FAMILY_PARAMS", "build_initial_data", "initial_state",
-           "ground_state_field"]
+           "ground_state_field", "scale_coefficient", "boost_vector", "coefficient_dist"]
 
 # The params each family reads; ExperimentConfig.from_dict rejects any other key.
 FAMILY_PARAMS = {
@@ -60,13 +60,26 @@ class InitialData:
         return self.family in ("random_scaled_ground_state", "ground_state_plus_field")
 
 
-def _scaled_q(grid, gs, params):
-    base = ground_state_field(gs, grid)
+def scale_coefficient(params) -> float:
+    """c of c*Q: sqrt(mass_fraction), so M(u0) = mass_fraction M(Q), else c (default 1)."""
     if "mass_fraction" in params:
-        # c chosen so M(u0) = mass_fraction * M(Q) exactly (grid masses)
-        c = math.sqrt(float(params["mass_fraction"]))
-    else:
-        c = float(params.get("c", 1.0))
+        return math.sqrt(float(params["mass_fraction"]))
+    return float(params.get("c", 1.0))
+
+
+def boost_vector(params, dim: int) -> tuple:
+    """xi0 of the boosted family; a scalar boost applies along every axis."""
+    xi0 = params.get("boost", 0.0)
+    return (float(xi0),) * dim if np.isscalar(xi0) else tuple(float(v) for v in xi0)
+
+
+def coefficient_dist(params) -> dict:
+    """The law of c for random c*Q (default U[0.5, 0.9])."""
+    return params.get("c_dist", {"kind": "uniform", "lo": 0.5, "hi": 0.9})
+
+
+def _scaled_q(grid, gs, c):
+    base = ground_state_field(gs, grid)
     return base.with_values(c * base.values)
 
 
@@ -85,21 +98,17 @@ def build_initial_data(desc: InitialData, grid: GridSpec, gs: GroundState | None
     if gs is None:
         raise ValueError(f"family {fam!r} needs a ground state")
     if fam == "scaled_ground_state":
-        return _scaled_q(grid, gs, p)
+        return _scaled_q(grid, gs, scale_coefficient(p))
     if fam == "boosted_ground_state":
-        base = _scaled_q(grid, gs, p)
-        xi0 = p.get("boost", 0.0)
-        xi0 = (float(xi0),) * grid.dim if np.isscalar(xi0) else tuple(float(v) for v in xi0)
+        base = _scaled_q(grid, gs, scale_coefficient(p))
         phase = np.zeros(grid.shape)
-        for c, x in zip(xi0, grid.coords):
+        for c, x in zip(boost_vector(p, grid.dim), grid.coords):
             phase = phase + c * x
         return base.with_values(base.values * np.exp(1j * phase))
     if fam == "random_scaled_ground_state":
         if rng is None:
             raise ValueError("random family needs an rng")
-        c = _draw_coefficient(p.get("c_dist", {"kind": "uniform", "lo": 0.5, "hi": 0.9}), rng)
-        base = ground_state_field(gs, grid)
-        return base.with_values(c * base.values)
+        return _scaled_q(grid, gs, _draw_coefficient(coefficient_dist(p), rng))
     if fam == "ground_state_plus_field":
         if rng is None:
             raise ValueError("random family needs an rng")

@@ -28,6 +28,7 @@ __all__ = [
     "mass_moment_bound",
     "mass_sup_moment",
     "apriori_bounds",
+    "gradient_cap",
     "blowup_conditions_multiplicative",
     "blowup_conditions_multiplicative_random",
     "blowup_conditions_additive",
@@ -45,16 +46,9 @@ def t_star_multiplicative(beta: float, s_c: float, n: int, M_phi: float,
     t_star_multiplicative_random.  M_phi = 0 returns infinity (deterministic
     limit: global existence).
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if not 0.0 < s_c < 1.0:
-        raise ValueError("s_c must lie in (0, 1)")
-    if M_phi < 0 or mass_ratio <= 0:
-        raise ValueError("need M_phi >= 0 and mass_ratio > 0")
-    if M_phi == 0.0:
-        return math.inf
-    bracket = (math.sqrt(n + 2.0 * s_c * (1.0 - beta) / 9.0) - math.sqrt(n)) ** 2
-    return bracket / (2.0 * (1.0 - s_c)) * 9.0 / M_phi * mass_ratio ** (1.0 / s_c)
+    if mass_ratio <= 0:
+        raise ValueError("mass_ratio must be positive")
+    return _t_star_bracket(beta, s_c, n, M_phi) * mass_ratio ** (1.0 / s_c)
 
 
 def t_star_multiplicative_random(beta: float, s_c: float, n: int, M_phi: float,
@@ -62,11 +56,21 @@ def t_star_multiplicative_random(beta: float, s_c: float, n: int, M_phi: float,
     """Random-data variant: mass_ratio^(1/s_c) -> M(Q)^(1/s_c) / E(M(u0)^(1/s_c))."""
     if mass_inv_sc_moment <= 0:
         raise ValueError("E(M(u0)^(1/s_c)) must be positive")
+    return _t_star_bracket(beta, s_c, n, M_phi) * massQ ** (1.0 / s_c) / mass_inv_sc_moment
+
+
+def _t_star_bracket(beta: float, s_c: float, n: int, M_phi: float) -> float:
+    """The data-free factor of both T* horizons, after checking their hypotheses."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    if not 0.0 < s_c < 1.0:
+        raise ValueError("s_c must lie in (0, 1)")
+    if M_phi < 0:
+        raise ValueError("M_phi must be >= 0")
     if M_phi == 0.0:
         return math.inf
     bracket = (math.sqrt(n + 2.0 * s_c * (1.0 - beta) / 9.0) - math.sqrt(n)) ** 2
-    return (bracket / (2.0 * (1.0 - s_c)) * 9.0 / M_phi
-            * massQ ** (1.0 / s_c) / mass_inv_sc_moment)
+    return bracket / (2.0 * (1.0 - s_c)) * 9.0 / M_phi
 
 
 def t_star_additive_critical(beta: float, hs00: float, massQ: float):
@@ -305,13 +309,17 @@ def apriori_bounds(nc, u0_stats: dict, t: float, eps: float, gs=None,
     out["E_sup_M_excess"] = (eps / (1.0 - eps) * m0
                              + 1.0 / (1.0 - eps) * (9.0 / eps + 1.0) * t * nc.hs00)
     if gs is not None and gs.alpha is not None:
-        out["grad_bound"] = (gs.n / (2.0 * (1.0 - gs.s_c))
-                             * gs.mass ** (1.0 + gs.alpha) / m0**gs.alpha)
+        out["grad_bound"] = gradient_cap(gs, m0)
     if gs is not None and beta is not None:
         p = (1.0 / (delta**2 * gs.mass) / (1.0 - eps)
              * (beta**2 * gs.mass + (9.0 + eps) / eps * nc.hs00 * t))
         out["containment_exit_prob"] = min(1.0, max(0.0, p))
     return out
+
+
+def gradient_cap(gs, m0: float) -> float:
+    """Intercritical gradient cap n/(2(1-s_c)) M(Q)^(1+alpha) / M(u0)^alpha."""
+    return gs.n / (2.0 * (1.0 - gs.s_c)) * gs.mass ** (1.0 + gs.alpha) / m0**gs.alpha
 
 
 @dataclass(frozen=True)

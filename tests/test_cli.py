@@ -116,6 +116,32 @@ def test_theory_random_initial_data_moment_bound(capsys, tmp_path):
     assert doc["T_star_mult_random"] > doc["T_star_mult"]
 
 
+@pytest.mark.parametrize("command", [["theory"], ["ensemble", "--n-traj", "1", "--compare"]])
+def test_theory_rejects_random_family_without_closed_forms(capsys, tmp_path, command):
+    cfg = get_preset("mult-inter-survival").to_dict()
+    cfg["initial_data"] = {"family": "ground_state_plus_field",
+                           "params": {"amplitude": 0.01, "k_max": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, *command, "--config", str(path))
+    assert code == 1
+    assert "'ground_state_plus_field'" in err
+    assert "no theory report" in err
+
+
+def test_theory_additive_intercritical_zero_data(capsys, tmp_path):
+    # u0 = 0 has no gradient cap (it divides by M(u0)^alpha), but the mass bounds hold
+    cfg = get_preset("add-inter").to_dict()
+    cfg["initial_data"] = {"family": "zero"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "theory", "--config", str(path))
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["grad_bound"] is None
+    assert doc["mass_sup_bound"] > 0
+
+
 def test_statistical_check_deterministic_given_seed():
     from snls.verify import check_noise_sampler
 
@@ -188,6 +214,17 @@ def test_config_roundtrip_all_presets(tmp_path):
         back = load_config(str(p))
         assert back.to_dict() == cfg.to_dict()  # lossless round trip
         assert config_hash(back) == config_hash(cfg)
+
+
+def test_editing_a_config_document_leaves_the_config_alone():
+    cfg = get_preset("add-critical")
+    before = config_hash(cfg)
+    doc = cfg.to_dict()
+    doc["covariance"]["amplitudes"].clear()
+    for section in doc.values():
+        if isinstance(section, dict):
+            section.clear()
+    assert config_hash(cfg) == before
 
 
 def test_config_rejects_unknown_sections():

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from snls.config import ExperimentConfig
 from snls.ground_state import solve_ground_state
 from snls.initial_data import coefficient_moment
 from snls.noise_model import CovarianceSpec, noise_constants
 from snls.grid import GridSpec
+from snls.presets import get_preset
+from snls.report import build_theory_report
 from snls.theory import (
     apriori_bounds,
     blowup_conditions_additive,
@@ -89,6 +92,14 @@ def test_t_star_mult_random_variant():
     v2 = t_star_multiplicative_random(0.4, 0.5, 3, 0.7, 2.0, 1.0 ** (1 / 0.5))
     assert v1 == pytest.approx(v2, rel=1e-12)
     assert t_star_multiplicative_random(0.4, 0.5, 3, 0.0, 2.0, 1.0) == math.inf
+
+
+@pytest.mark.parametrize("beta, s_c, mphi", [(1.2, 0.5, 0.7), (0.4, 1.5, 0.7),
+                                             (0.4, 0.5, -0.7)])
+def test_t_star_mult_random_checks_the_hypotheses(beta, s_c, mphi):
+    # the same beta in (0, 1), s_c in (0, 1) and M_phi >= 0 as the deterministic horizon
+    with pytest.raises(ValueError):
+        t_star_multiplicative_random(beta, s_c, 3, mphi, 2.0, 1.0)
 
 
 def test_eps_star_spot_value_and_argmax_oracle():
@@ -326,3 +337,13 @@ def test_apriori_bounds(gs3, noise_consts_small):
     big = apriori_bounds(noise_consts_small, stats, t=1e12, eps=0.5, gs=gs3, beta=0.999)
     assert big["containment_exit_prob"] == 1.0
     assert 0.0 <= out["containment_exit_prob"] <= 1.0
+
+
+def test_report_regime_is_the_ground_state_classification():
+    # sigma = 1 in 1d is mass-subcritical (s_c = -1/2), run under allow_conditional_regime
+    cfg = get_preset("add-critical").to_dict()
+    cfg["physics"]["sigma"] = 1.0
+    cfg["run"]["allow_conditional_regime"] = True
+    rep = build_theory_report(ExperimentConfig.from_dict(cfg))
+    assert rep.s_c == -0.5
+    assert rep.regime == "subcritical"
