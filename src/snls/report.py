@@ -67,7 +67,7 @@ def initial_data_stats(init: InitialData, grid: GridSpec, gs: GroundState) -> di
 
         # hypothesis checks need the a.s. envelope of the support; only a
         # bounded support gives one (beta(c) and delta0(c) increase on (0, 1])
-        if dist.get("kind") == "uniform":
+        if dist.get("kind", "uniform") == "uniform":
             st = scaled_stats(float(dist["hi"]))
             st["as_envelope"] = True
         else:

@@ -347,3 +347,16 @@ def test_report_regime_is_the_ground_state_classification():
     rep = build_theory_report(ExperimentConfig.from_dict(cfg))
     assert rep.s_c == -0.5
     assert rep.regime == "subcritical"
+
+
+def test_report_takes_the_envelope_of_a_uniform_law_without_kind():
+    # c_dist's kind defaults to uniform when c is drawn, so the report needs the
+    # envelope c = hi, not the mean, and then gives the random-data horizon
+    cfg = get_preset("mult-inter-survival").to_dict()
+    reports = []
+    for law in ({"kind": "uniform", "lo": 0.5, "hi": 0.8}, {"lo": 0.5, "hi": 0.8}):
+        cfg["initial_data"] = {"family": "random_scaled_ground_state",
+                               "params": {"c_dist": law}}
+        reports.append(build_theory_report(ExperimentConfig.from_dict(cfg)).to_dict())
+    assert reports[0]["T_star_mult_random"] is not None
+    assert reports[1] == reports[0] | {"config_hash": reports[1]["config_hash"]}
