@@ -9,7 +9,7 @@ for the intercritical picture.
 
 import argparse
 
-from snls.dynamics import GroundStateRefs, SimConfig, run_trajectory
+from snls.dynamics import SimConfig, run_trajectory
 from snls.grid import GridSpec
 from snls.ground_state import solve_ground_state
 from snls.initial_data import ground_state_field
@@ -30,7 +30,6 @@ def main():
     gs = solve_ground_state(1, args.sigma)
     grid = GridSpec(1, args.extent, args.points)
     q = ground_state_field(gs, grid)
-    refs = GroundStateRefs.from_ground_state(gs)
 
     print(f"sigma={args.sigma}  s_c={gs.s_c:.4f}  M(Q)={gs.mass:.6f}")
     print(f"{'c':>6} {'regime':>16} {'beta':>8} {'delta0':>8} {'outcome':>10} {'t_b':>8}")
@@ -38,8 +37,7 @@ def main():
         u0 = q.with_values(c * q.values)
         rep = classify_dichotomy(u0, gs)
         cfg = SimConfig(n=1, sigma=args.sigma, noise_type="none", dt0=args.dt,
-                        T_end=args.T, grad_threshold=20.0, record_stride=5,
-                        gs_refs=refs)
+                        T_end=args.T, grad_threshold=20.0, record_stride=5, gs_refs=gs)
         rec = run_trajectory(cfg, u0, None, 0)
         t_b = f"{rec.status.time:.3f}" if rec.status.kind == "blownup" else "-"
         beta = f"{rep.beta:.3f}" if rep.beta is not None else "-"

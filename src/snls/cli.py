@@ -92,10 +92,11 @@ def cmd_ensemble(args):
     cfg = _resolve_config(args)
     workers = args.workers or int(os.environ.get("SNLS_WORKERS", "1"))
     ecfg = ensemble_config(cfg, args.n_traj, args.seed, workers)
+    if args.compare:  # a config without a report fails before the ensemble runs
+        rep = build_theory_report(cfg, gs=ecfg.ground_state)
     summary, _ = run_ensemble(ecfg, out_dir=args.out,
                               compress=bool(cfg.output.get("gzip", False)))
     if args.compare:
-        rep = build_theory_report(cfg, gs=ecfg.ground_state)
         drift = []
         if (ecfg.trajectory.noise_type == "additive" and ecfg.covariance is not None
                 and "mass" in summary.mean_paths):

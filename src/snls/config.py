@@ -13,10 +13,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import AdaptSpec, GroundStateRefs, SimConfig, StoppingThresholds
+from .dynamics import AdaptSpec, SimConfig, StoppingThresholds
 from .ensemble import EnsembleConfig
 from .grid import GridSpec
-from .ground_state import solve_ground_state
+from .ground_state import GroundState, solve_ground_state
 from .initial_data import FAMILY_PARAMS, InitialData
 from .noise_model import CovarianceSpec, gaussian_spectrum_amplitudes
 
@@ -101,7 +101,7 @@ class ExperimentConfig:
             return CovarianceSpec("physical_kernel", kernel=kern, scale=scale)
         raise ValueError(f"unknown covariance kind {kind!r}")
 
-    def build_sim_config(self, gs_refs: GroundStateRefs | None = None) -> SimConfig:
+    def build_sim_config(self, gs_refs: GroundState | None = None) -> SimConfig:
         r = self.run
         _reject_unknown("run", r, _RUN_KEYS)
         th = r.get("thresholds", {})
@@ -178,7 +178,7 @@ def materialize(cfg: ExperimentConfig):
     grid = cfg.build_grid()
     n, sigma = int(cfg.physics["n"]), float(cfg.physics["sigma"])
     gs = solve_ground_state(n, sigma)
-    sim = cfg.build_sim_config(GroundStateRefs.from_ground_state(gs))
+    sim = cfg.build_sim_config(gs)
     cov = cfg.build_covariance()
     init = cfg.build_initial_data()
     return grid, gs, sim, cov, init, config_hash(cfg)

@@ -1,28 +1,31 @@
 """Time integration of a batch of trajectories, one path per row.
 
 A Trajectory advances B paths together as one (B, *grid) array: advance()
-steps every live row to the next record, state(row) is a row's field at its
-time t and record(row) its path; run_trajectory is a batch of one.  All live
+steps every live row to the next record, state(i) is row i's field at its
+time t and record(i) its path; run_trajectory is a batch of one.  All live
 rows step in lock-step by step count, so each phase, power and FFT pair of a
 step is taken once over the batch, on the grid axes only.
 
-Everything a path depends on is kept per row, so a row's record is bitwise
-the one it gets alone, in any batch and on any number of workers:
+Everything a path depends on is held by its row, one object per path in
+Trajectory.rows, so a row's record is bitwise the one it gets alone, in any
+batch and on any number of workers.  A row holds:
 
   * its own Philox noise stream, keyed by its seed; a noise draw reads each
-    row's normals from its own stream and runs one inverse FFT over all rows;
+    live row's normals from its own stream and runs one inverse FFT over them;
   * its own t, dt and step decisions: the linear propagator is looked up per
     dt and stacked when rows differ (adaptive halving, a clipped last step);
-  * its own trackers, samples and status.  A row's samples are tuples of
-    floats in observables.SAMPLE_KEYS order, and record(row) returns them as
-    one (records, keys) float64 array.  A row that is not finite, blows
-    up, shows a spectral tail or reaches the end stops alone, and the field
-    arrays are compacted to the rows that go on;
-  * reductions run row by row: a.reshape(B, -1).sum(axis=1) sums each row
-    exactly as the row alone, and the boundary and tail fractions gather
-    their points with np.take, whose C-ordered (B, k) result keeps that
-    property (a boolean gather a[:, mask] is F-ordered, and its row sums
-    differ from a[i][mask].sum()).  Nothing reduces through BLAS.
+  * its own hitting times, samples and status.  A row's samples are tuples of
+    floats in observables.SAMPLE_KEYS order, and record(i) returns them as
+    one (records, keys) float64 array.
+
+Trajectory.live lists the rows that go on, in the order of the stacked field
+arrays.  A row that is not finite, blows up, shows a spectral tail or
+reaches the end stops alone, and live and the arrays are filtered to the
+rows that go on.  Reductions run row by row: a.reshape(B, -1).sum(axis=1)
+sums each row exactly as the row alone, and the boundary and tail fractions
+gather their points with np.take, whose C-ordered (B, k) result keeps that
+property (a boolean gather a[:, mask] is F-ordered, and its row sums differ
+from a[i][mask].sum()).  Nothing reduces through BLAS.
 
 One step advances the Strang-split deterministic core and then the noise
 substep.  Sign conventions follow the dynamics  i u_t - (Lap u + |u|^2s u) = 0,
@@ -86,7 +89,6 @@ from .observables import SAMPLE_KEYS, ObservableSample, observe_rows
 __all__ = [
     "AdaptSpec",
     "StoppingThresholds",
-    "GroundStateRefs",
     "SimConfig",
     "TerminalStatus",
     "TrajectoryRecord",
@@ -134,22 +136,6 @@ class StoppingThresholds:
 
 
 @dataclass(frozen=True)
-class GroundStateRefs:
-    """The ground-state scalars the trackers compare against."""
-
-    mass: float
-    energy: float
-    grad_sq: float
-    alpha: float | None
-    x_star: float | None
-
-    @classmethod
-    def from_ground_state(cls, gs: GroundState):
-        return cls(mass=gs.mass, energy=gs.energy, grad_sq=gs.grad_sq,
-                   alpha=gs.alpha, x_star=gs.x_star)
-
-
-@dataclass(frozen=True)
 class SimConfig:
     n: int
     sigma: float
@@ -160,7 +146,7 @@ class SimConfig:
     record_stride: int = 1
     adapt: AdaptSpec | None = None
     thresholds: StoppingThresholds = field(default_factory=StoppingThresholds)
-    gs_refs: GroundStateRefs | None = None
+    gs_refs: GroundState | None = None  # the trackers' references M(Q), H(Q), alpha, x*
     tail_fraction_max: float = 0.10
     allow_conditional_regime: bool = False
 
@@ -321,6 +307,18 @@ def tracker_rows(cfg: SimConfig) -> list:
     return rows
 
 
+class _Row:
+    """One path: its seed, noise stream (None without noise), frozen initial mass m0,
+    t, dt, adaptive reference grad_ref, hitting times, samples and status."""
+
+    __slots__ = ("seed", "rng", "m0", "t", "dt", "grad_ref", "hits", "samples", "status")
+
+    def __init__(self, seed, m0: float, dt: float):
+        self.seed, self.rng, self.m0, self.t, self.dt = seed, None, m0, 0.0, dt
+        self.grad_ref, self.status = None, None  # status is set when the row stops
+        self.hits, self.samples = dict.fromkeys(STOPPING_TIME_NAMES), []
+
+
 class Trajectory:
     """B paths of the fused integrator, one per row, advanced in lock-step.
 
@@ -329,11 +327,12 @@ class Trajectory:
     and does not depend on the other rows.  sampler, if given, is a
     NoiseSampler of (spec, grid); it holds no per-path state.
 
-    t, dt and grad_ref are per-row Python floats, so a row's time arithmetic
-    is that of a path alone.  The field arrays hold the rows that go on, in
-    the order of `live`, and every row carries the same pending state: the
-    rows' states are vals * exp(-i theta) while a phase is pending and vals
-    otherwise, and power = |vals|^(2 sigma) is unchanged by the pending phase.
+    rows lists every row's _Row in index order, and live the rows that go on,
+    in the order of the field arrays; a row's t, dt and grad_ref are Python
+    floats, so its time arithmetic is that of a path alone.  Every live row
+    carries the same pending state: the rows' states are vals * exp(-i theta)
+    while a phase is pending and vals otherwise, and power = |vals|^(2 sigma)
+    is unchanged by the pending phase.
     """
 
     def __init__(self, config: SimConfig, u0s, spec: CovarianceSpec | None, seeds,
@@ -342,46 +341,40 @@ class Trajectory:
             raise ValueError("need one seed per initial state, and at least one")
         self.config = config
         self.grid = g = u0s[0].grid
-        self.seeds = [s if isinstance(s, tuple) else int(s) for s in seeds]
-        self._rngs = []
+        self.rows = [_Row(s if isinstance(s, tuple) else int(s), mass(u), config.dt0)
+                     for u, s in zip(u0s, seeds)]
         if config.noise_type != "none":
             if spec is None:
                 raise ValueError("noise_type set but no covariance spec given")
             if sampler is None:
                 sampler = NoiseSampler(spec, g)
-            self._rngs = [make_rng(*s) if isinstance(s, tuple) else make_rng(s)
-                          for s in self.seeds]
+            for row in self.rows:
+                row.rng = (make_rng(*row.seed) if isinstance(row.seed, tuple)
+                           else make_rng(row.seed))
         self._sampler = sampler
-        n = len(u0s)
-        self._m0 = [mass(u) for u in u0s]
         self._trackers = [(name, SAMPLE_KEYS.index(key), cmp, limit)
                           for name, key, cmp, limit in tracker_rows(config)]
-        self._hits = [dict.fromkeys(STOPPING_TIME_NAMES) for _ in range(n)]
-        self._samples = [[] for _ in range(n)]
-        self._status: list[TerminalStatus | None] = [None] * n
-        self.t = [0.0] * n
-        self.dt = [config.dt0] * n
         self.step = 0
-        self.live = list(range(n))
+        self.live = list(self.rows)
         vals = np.stack([u.values for u in u0s])
         grad0 = [v[_GRAD_SQ] for v in self._sample(FieldState(g, vals), self.live)]
         if any(x >= config.grad_threshold**2 for x in grad0):
             raise ValueError("grad_threshold must exceed the initial gradient norm")
-        self.grad_ref = [max(x, 1e-300) for x in grad0]
+        for row, x in zip(self.rows, grad0):
+            row.grad_ref = max(x, 1e-300)
         self._vals, self._theta = vals, np.zeros(vals.shape)
         self._pending = False  # whether every live row's state is vals * exp(-i theta)
         self._power = _power(vals, config.sigma)
 
     def _sample(self, u: FieldState, rows: list) -> list:
         """Observe u, the states of `rows` at their times, and update their trackers."""
-        samples = observe_rows(u, [self.t[row] for row in rows], [self._m0[row] for row in rows],
+        samples = observe_rows(u, [row.t for row in rows], [row.m0 for row in rows],
                                self.config.alpha_or_zero, self.config.sigma)
         for row, v in zip(rows, samples):
-            self._samples[row].append(v)
-            hits = self._hits[row]
+            row.samples.append(v)
             for name, col, cmp, limit in self._trackers:
-                if hits[name] is None and cmp(v[col], limit):
-                    hits[name] = v[_T]
+                if row.hits[name] is None and cmp(v[col], limit):
+                    row.hits[name] = v[_T]
         return samples
 
     def _record(self, u: FieldState, rows: list):
@@ -391,33 +384,32 @@ class Trajectory:
         for row, v, tail in zip(rows, self._sample(u, rows), tail_fraction_rows(u)):
             t, grad_sq = v[_T], v[_GRAD_SQ]
             if grad_sq >= cfg.grad_threshold**2:
-                self._status[row] = TerminalStatus("blownup", t)
+                row.status = TerminalStatus("blownup", t)
             elif tail > cfg.tail_fraction_max:
-                self._status[row] = TerminalStatus("blownup", t, "spectral tail")
-            elif cfg.adapt is not None and grad_sq > cfg.adapt.growth_factor * self.grad_ref[row]:
-                if self.dt[row] > cfg.adapt.dt_min:
-                    self.dt[row] = max(self.dt[row] / 2.0, cfg.adapt.dt_min)
-                self.grad_ref[row] = grad_sq
+                row.status = TerminalStatus("blownup", t, "spectral tail")
+            elif cfg.adapt is not None and grad_sq > cfg.adapt.growth_factor * row.grad_ref:
+                if row.dt > cfg.adapt.dt_min:
+                    row.dt = max(row.dt / 2.0, cfg.adapt.dt_min)
+                row.grad_ref = grad_sq
 
-    def _fail(self, row: int):
+    def _fail(self, row: _Row):
         """End a row as failed at its current t."""
         adapt = self.config.adapt
-        reason = "unresolved" if (adapt and self.dt[row] <= adapt.dt_min) else "overflow"
-        self._status[row] = TerminalStatus("failed", self.t[row], reason)
+        reason = "unresolved" if (adapt and row.dt <= adapt.dt_min) else "overflow"
+        row.status = TerminalStatus("failed", row.t, reason)
 
     def _compact(self):
         """Drop the rows whose status is set from the live arrays."""
-        keep = [self._status[row] is None for row in self.live]
+        keep = [row.status is None for row in self.live]
         if all(keep):
             return
-        self.live = [row for row, k in zip(self.live, keep) if k]
-        self._rngs = [rng for rng, k in zip(self._rngs, keep) if k]
+        self.live = [row for row in self.live if row.status is None]
         self._vals, self._theta, self._power = (
             self._vals[keep], self._theta[keep], self._power[keep])
 
-    def state(self, row: int) -> FieldState:
-        """The field of a live row at its time t, with the pending phase applied."""
-        pos = self.live.index(row)
+    def state(self, i: int) -> FieldState:
+        """The field of live row i at its time t, with the pending phase applied."""
+        pos = self.live.index(self.rows[i])
         vals = self._vals[pos]
         if self._pending:
             vals = _phase(vals, self._theta[pos])
@@ -435,7 +427,7 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails alone
             while self.live:
                 live = self.live
-                steps = [min(self.dt[row], t_end - self.t[row]) for row in live]
+                steps = [min(row.dt, t_end - row.t) for row in live]
                 if steps.count(steps[0]) == len(live):  # a Python float keeps numpy's fast loops
                     half, prop = steps[0] / 2.0, _propagator(g, steps[0], masked)
                 else:  # rows on different dt: adaptive halving or a clipped last step
@@ -452,21 +444,21 @@ class Trajectory:
                 power = _power(vals, sigma)
                 theta = half * power
                 if cfg.noise_type == "multiplicative":  # Stratonovich phase: commutes
-                    theta += self._sampler.sample_rows(steps, self._rngs)
+                    theta += self._sampler.sample_rows(steps, [row.rng for row in live])
                 elif cfg.noise_type == "additive":  # not a phase: the trailing half step first
                     vals = _phase(vals, theta) - 1j * self._sampler.sample_rows(
-                        steps, self._rngs, complex_valued=True)
+                        steps, [row.rng for row in live], complex_valued=True)
                     power = _power(vals, sigma)
                 self.step += 1
                 on_stride = self.step % stride == 0
                 self._pending = cfg.noise_type != "additive" and not on_stride
                 record = []
-                for pos, row in enumerate(live):
-                    if going[pos]:
-                        self.t[row] += steps[pos]
+                for row, step, finite in zip(live, steps, going):
+                    if finite:
+                        row.t += step
                     else:  # its state at t is not finite
                         self._fail(row)
-                    record.append(going[pos] and (on_stride or self.t[row] >= end))
+                    record.append(finite and (on_stride or row.t >= end))
                 states = vals  # the states at t
                 if cfg.noise_type != "additive" and (not self._pending or any(record)):
                     states = _phase(vals, theta)  # a temporary while the rows stay pending
@@ -482,22 +474,22 @@ class Trajectory:
                 if rows:
                     self._record(FieldState(g, states if all(record) else states[record]), rows)
                 for row in rows:  # a row that reaches the end ends on its record
-                    if self._status[row] is None and self.t[row] >= end:
-                        self._status[row] = TerminalStatus("survived", t_end)
+                    if row.status is None and row.t >= end:
+                        row.status = TerminalStatus("survived", t_end)
                 self._compact()
                 if rows:
                     break
         return bool(self.live)
 
-    def record(self, row: int) -> TrajectoryRecord:
-        """Row's path so far, its samples as one array; its status is None while it goes on."""
-        return TrajectoryRecord(values=np.array(self._samples[row]), status=self._status[row],
-                                hit_times=self._hits[row], seed=self.seeds[row],
-                                dt_final=self.dt[row])
+    def record(self, i: int) -> TrajectoryRecord:
+        """Row i's path so far, its samples as one array; its status is None while it goes on."""
+        row = self.rows[i]
+        return TrajectoryRecord(values=np.array(row.samples), status=row.status,
+                                hit_times=row.hits, seed=row.seed, dt_final=row.dt)
 
     def records(self) -> list:
         """Every row's path, in row order."""
-        return [self.record(row) for row in range(len(self.seeds))]
+        return [self.record(i) for i in range(len(self.rows))]
 
 
 def run_trajectory(config: SimConfig, u0: FieldState, spec: CovarianceSpec | None,

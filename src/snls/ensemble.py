@@ -223,7 +223,7 @@ def run_ensemble(cfg: EnsembleConfig, out_dir: str | None = None,
     return summary, records
 
 
-def _verdict_positive_probability(name, frac, interval, bound):
+def _verdict_positive_probability(name, frac, bound):
     if frac > 0.0:
         return {"bound": name, "theoretical": bound, "empirical": frac,
                 "verdict": "consistent"}
@@ -251,8 +251,7 @@ def compare_with_theory(summary: EnsembleSummary, report, T: float | None = None
     t_star = report.T_star_mult if report.T_star_mult is not None else report.T_star_add_crit
     if t_star is not None and T < t_star:
         verdicts.append(_verdict_positive_probability(
-            "survival P(tau* > T) > 0 for T < T*", summary.survival_prob,
-            summary.survival_interval, t_star))
+            "survival P(tau* > T) > 0 for T < T*", summary.survival_prob, t_star))
 
     if t_star is not None and math.isfinite(t_star):
         name = next((name for name in ("tau_delta_energy", "tau_delta_mass")
@@ -278,7 +277,7 @@ def compare_with_theory(summary: EnsembleSummary, report, T: float | None = None
         if ledger.satisfied:
             verdicts.append(_verdict_positive_probability(
                 "blow-up P(tau* <= T) > 0 under satisfied sufficient conditions",
-                summary.blowup_fraction, summary.blowup_interval, 0.0))
+                summary.blowup_fraction, 0.0))
         else:
             verdicts.append({"bound": "blow-up sufficient conditions",
                              "theoretical": None, "empirical": summary.blowup_fraction,

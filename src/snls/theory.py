@@ -296,10 +296,9 @@ def apriori_bounds(nc, u0_stats: dict, t: float, eps: float, gs=None,
                    delta: float = 1.0, beta: float | None = None) -> dict:
     """A priori expectation bounds for the additive flow at horizon t.
 
-    Returns E sup M (E_sup_M), the mass excess bound (E_sup_M-M0), the
-    intercritical gradient cap (E:grad-bound1, needs gs), and the
+    Returns E sup M (E_sup_M), the mass excess bound (E_sup_M-M0) and the
     mass-containment tail probability of Omega_t^c (E:star, needs gs and
-    beta), clamped to [0, 1].
+    beta), clamped to [0, 1].  The intercritical gradient cap is gradient_cap.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -308,8 +307,6 @@ def apriori_bounds(nc, u0_stats: dict, t: float, eps: float, gs=None,
     out["E_sup_M"] = 1.0 / (1.0 - eps) * (m0 + (9.0 + eps) / eps * nc.hs00 * t)
     out["E_sup_M_excess"] = (eps / (1.0 - eps) * m0
                              + 1.0 / (1.0 - eps) * (9.0 / eps + 1.0) * t * nc.hs00)
-    if gs is not None and gs.alpha is not None:
-        out["grad_bound"] = gradient_cap(gs, m0)
     if gs is not None and beta is not None:
         p = (1.0 / (delta**2 * gs.mass) / (1.0 - eps)
              * (beta**2 * gs.mass + (9.0 + eps) / eps * nc.hs00 * t))

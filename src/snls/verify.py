@@ -16,12 +16,7 @@ import math
 import numpy as np
 
 from .config import ensemble_config
-from .dynamics import (
-    GroundStateRefs,
-    SimConfig,
-    _propagator,
-    run_trajectory,
-)
+from .dynamics import SimConfig, _propagator, run_trajectory
 from .ensemble import EnsembleConfig, drift_check, run_ensemble
 from .grid import FieldState, GridSpec, mass
 from .ground_state import energy_three_ways, solve_ground_state
@@ -86,8 +81,7 @@ def virial_errors(dt):
     q = ground_state_field(gs, grid)
     u0 = q.with_values(1.02 * q.values)
     cfg = SimConfig(n=1, sigma=3.0, noise_type="none", dt0=dt, T_end=0.3,
-                    grad_threshold=50.0, record_stride=1,
-                    gs_refs=GroundStateRefs.from_ground_state(gs))
+                    grad_threshold=50.0, record_stride=1, gs_refs=gs)
     arr = run_trajectory(cfg, u0, None, 0).sample_arrays()
     t, V, G, H, gsq = arr["t"], arr["variance"], arr["momentum"], arr["energy"], arr["grad_sq"]
     dV = (V[2:] - V[:-2]) / (t[2:] - t[:-2])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from snls.dynamics import AdaptSpec, GroundStateRefs, SimConfig, Trajectory, run_trajectory
+from snls.dynamics import AdaptSpec, SimConfig, Trajectory, run_trajectory
 from snls.ensemble import EnsembleConfig, drift_check, run_ensemble
 from snls.grid import FieldState, GridSpec, mass
 from snls.initial_data import InitialData, ground_state_field
@@ -64,7 +64,7 @@ def test_rows_that_end_differently(gs_1d_s2, noise, stride):
     grid = GRIDS[1]
     cfg = SimConfig(n=1, sigma=2.0, noise_type=noise, dt0=1e-3, T_end=0.1505,
                     grad_threshold=20.0, record_stride=stride,
-                    gs_refs=GroundStateRefs.from_ground_state(gs_1d_s2))
+                    gs_refs=gs_1d_s2)
     spec = None if noise == "none" else CovarianceSpec("fourier_diagonal", {(1,): 0.01})
     records = assert_rows_match_alone(cfg, _mixed_rows(gs_1d_s2, grid), spec,
                                       [(9, i) for i in range(4)])
@@ -83,7 +83,7 @@ def test_rows_on_different_dt(gs_1d_s2, noise):
     cfg = SimConfig(n=1, sigma=2.0, noise_type=noise, dt0=1e-3, T_end=0.1205,
                     grad_threshold=20.0, record_stride=2,
                     adapt=AdaptSpec(growth_factor=1.5, dt_min=1e-4),
-                    gs_refs=GroundStateRefs.from_ground_state(gs_1d_s2))
+                    gs_refs=gs_1d_s2)
     spec = None if noise == "none" else CovarianceSpec("fourier_diagonal", {(1,): 0.01})
     records = assert_rows_match_alone(cfg, u0s, spec, [(4, i) for i in range(4)])
     dts = [r.dt_final for r in records]
@@ -136,7 +136,7 @@ def additive_cfg(gs_1d_s2):
     spec = CovarianceSpec("fourier_diagonal", {(0,): 0.1, (1,): 0.1})
     sim = SimConfig(n=1, sigma=2.0, noise_type="additive", dt0=0.01, T_end=0.3,
                     grad_threshold=50.0, record_stride=3,
-                    gs_refs=GroundStateRefs.from_ground_state(gs_1d_s2))
+                    gs_refs=gs_1d_s2)
     return dict(master_seed=77, trajectory=sim, grid=grid, covariance=spec,
                 ground_state=gs_1d_s2, config_hash="hb")
 

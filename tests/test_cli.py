@@ -117,16 +117,23 @@ def test_theory_random_initial_data_moment_bound(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["theory"], ["ensemble", "--n-traj", "1", "--compare"]])
-def test_theory_rejects_random_family_without_closed_forms(capsys, tmp_path, command):
+def test_theory_rejects_random_family_without_closed_forms(capsys, tmp_path, monkeypatch,
+                                                           command):
+    import snls.cli
+
     cfg = get_preset("mult-inter-survival").to_dict()
     cfg["initial_data"] = {"family": "ground_state_plus_field",
                            "params": {"amplitude": 0.01, "k_max": 1}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    real, runs = snls.cli.run_ensemble, []  # --compare fails before the ensemble runs
+    monkeypatch.setattr(snls.cli, "run_ensemble",
+                        lambda *a, **kw: runs.append(a) or real(*a, **kw))
     code, _, err = run_cli(capsys, *command, "--config", str(path))
     assert code == 1
     assert "'ground_state_plus_field'" in err
     assert "no theory report" in err
+    assert runs == []
 
 
 def test_theory_additive_intercritical_zero_data(capsys, tmp_path):

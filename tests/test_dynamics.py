@@ -10,7 +10,6 @@ from snls.grid import FieldState, GridSpec, mass, tail_fraction_rows
 from snls.presets import get_preset
 from snls.dynamics import (
     AdaptSpec,
-    GroundStateRefs,
     SimConfig,
     StoppingThresholds,
     Trajectory,
@@ -23,10 +22,6 @@ from snls.dynamics import (
 from snls.initial_data import ground_state_field
 from snls.noise_model import CovarianceSpec, NoiseSampler, make_rng
 from snls.observables import observe
-
-
-def refs_of(gs):
-    return GroundStateRefs.from_ground_state(gs)
 
 
 # ---------------------------------------------------------------- deterministic
@@ -146,7 +141,7 @@ def test_survival_below_critical_mass(gs_1d_s2):
     q = ground_state_field(gs_1d_s2, grid)
     u0 = q.with_values(math.sqrt(0.8) * q.values)
     cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=1e-3, T_end=10.0,
-                    grad_threshold=10.0, record_stride=100, gs_refs=refs_of(gs_1d_s2))
+                    grad_threshold=10.0, record_stride=100, gs_refs=gs_1d_s2)
     rec = run_trajectory(cfg, u0, None, 0)
     assert rec.status.kind == "survived"
     assert max(s.grad_sq for s in rec.samples) < 4.0 * gs_1d_s2.grad_sq
@@ -160,7 +155,7 @@ def test_blowup_above_critical_mass(gs_1d_s2):
     assert s0.energy < 0.0  # negative energy: classical virial blow-up
     t_virial = math.sqrt(-s0.variance / (8.0 * s0.energy))  # V(t)=V0+8H0 t^2 root
     cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=2e-4, T_end=2.0,
-                    grad_threshold=20.0, record_stride=1, gs_refs=refs_of(gs_1d_s2))
+                    grad_threshold=20.0, record_stride=1, gs_refs=gs_1d_s2)
     rec = run_trajectory(cfg, u0, None, 0)
     assert rec.status.kind == "blownup"
     assert rec.status.time < t_virial
@@ -176,7 +171,7 @@ def test_multiplicative_run_mass_conserved(gs_1d_s2):
     q = ground_state_field(gs_1d_s2, grid)
     u0 = q.with_values(math.sqrt(0.8) * q.values)
     cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-4, T_end=0.5,
-                    grad_threshold=20.0, record_stride=50, gs_refs=refs_of(gs_1d_s2))
+                    grad_threshold=20.0, record_stride=50, gs_refs=gs_1d_s2)
     rec = run_trajectory(cfg, u0, spec, seed=(3, 0))
     m0 = rec.samples[0].mass
     drift = max(abs(s.mass / m0 - 1.0) for s in rec.samples)
@@ -190,7 +185,7 @@ def test_determinism_bitwise(gs_1d_s2):
     q = ground_state_field(gs_1d_s2, grid)
     u0 = q.with_values(0.9 * q.values)
     cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3, T_end=0.2,
-                    grad_threshold=20.0, record_stride=10, gs_refs=refs_of(gs_1d_s2))
+                    grad_threshold=20.0, record_stride=10, gs_refs=gs_1d_s2)
     r1 = run_trajectory(cfg, u0, spec, seed=(42, 7))
     r2 = run_trajectory(cfg, u0, spec, seed=(42, 7))
     a1, a2 = r1.sample_arrays(), r2.sample_arrays()
@@ -209,7 +204,7 @@ def test_gradient_trap_intercritical(gs_1d_s3):
     u0 = q.with_values(0.8 * q.values)
     th = StoppingThresholds(delta_energy=0.999)
     cfg = SimConfig(n=1, sigma=3.0, noise_type="multiplicative", dt0=5e-4, T_end=1.0,
-                    grad_threshold=20.0, record_stride=1, gs_refs=refs_of(gs_1d_s3),
+                    grad_threshold=20.0, record_stride=1, gs_refs=gs_1d_s3,
                     thresholds=th)
     rec = run_trajectory(cfg, u0, spec, seed=(9, 0))
     x_star = gs_1d_s3.x_star
@@ -228,7 +223,7 @@ def test_stopping_time_trackers(gs_1d_s2):
     zero = FieldState(grid, 1e-6 * np.exp(-grid.radius_sq).astype(complex))
     th = StoppingThresholds(delta_mass=0.05, lam=0.04)
     cfg = SimConfig(n=1, sigma=2.0, noise_type="additive", dt0=5e-3, T_end=2.0,
-                    grad_threshold=50.0, record_stride=1, gs_refs=refs_of(gs_1d_s2),
+                    grad_threshold=50.0, record_stride=1, gs_refs=gs_1d_s2,
                     thresholds=th)
     rec = run_trajectory(cfg, zero, spec, seed=(1, 0))
     # additive noise pumps mass ~ t * hs00 = 0.32 t; both trackers must fire
@@ -244,7 +239,7 @@ def test_each_tracker_uses_its_own_threshold(gs_1d_s3):
     q = ground_state_field(gs_1d_s3, grid)
     u0 = q.with_values(0.8 * q.values)
     spec = CovarianceSpec("fourier_diagonal", {(0,): 0.2, (1,): 0.2})
-    refs = refs_of(gs_1d_s3)
+    refs = gs_1d_s3
     kw = dict(n=1, sigma=3.0, noise_type="additive", dt0=2e-3, T_end=0.5,
               grad_threshold=50.0, record_stride=1, gs_refs=refs)
     path = run_trajectory(SimConfig(**kw), u0, spec, seed=(1, 0)).sample_arrays()
@@ -329,7 +324,7 @@ def test_adaptive_dt_refines_on_growth(gs_1d_s2):
     q = ground_state_field(gs_1d_s2, grid)
     u0 = q.with_values(1.1 * q.values)
     cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=2e-4, T_end=2.0,
-                    grad_threshold=20.0, record_stride=1, gs_refs=refs_of(gs_1d_s2),
+                    grad_threshold=20.0, record_stride=1, gs_refs=gs_1d_s2,
                     adapt=AdaptSpec(growth_factor=4.0, dt_min=5e-5))
     rec = run_trajectory(cfg, u0, None, 0)
     assert rec.status.kind == "blownup"
@@ -372,7 +367,7 @@ def _oracle_case(name, gs):
     q = ground_state_field(gs, grid)
     mult = CovarianceSpec("fourier_diagonal", {(0,): 0.2, (1,): 0.2, (3,): 0.1})
     kw = dict(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3, T_end=0.06,
-              grad_threshold=1e3, record_stride=3, gs_refs=refs_of(gs))
+              grad_threshold=1e3, record_stride=3, gs_refs=gs)
     u0 = q.with_values(0.9 * q.values)
     if name == "clipped":
         kw.update(T_end=0.0605, record_stride=4)
@@ -412,8 +407,8 @@ def test_trajectory_advances_record_by_record(gs_1d_s2, name):
     m0 = mass(u0)
     assert len(path.record(0).samples) == 1
     while path.advance():
-        assert path.record(0).samples[-1].t == path.t[0]
-        now = observe(path.state(0), path.t[0], m0, cfg.alpha_or_zero, cfg.sigma)
+        assert path.record(0).samples[-1].t == path.rows[0].t
+        now = observe(path.state(0), path.rows[0].t, m0, cfg.alpha_or_zero, cfg.sigma)
         assert now == path.record(0).samples[-1]
     assert path.record(0).status is not None
     n_samples = len(path.record(0).samples)
@@ -423,6 +418,28 @@ def test_trajectory_advances_record_by_record(gs_1d_s2, name):
     assert rec.values.tolist() == direct.values.tolist()
     assert (rec.status, rec.hit_times, rec.dt_final) == (direct.status, direct.hit_times,
                                                          direct.dt_final)
+
+
+def test_state_of_a_row_after_others_stopped(gs_1d_s2):
+    # in reverse, rows 0 (spectral tail) and 2 (overflow) end on the first step and row 3
+    # blows up later: each live row's position in the field arrays falls behind its index
+    from test_batch import GRIDS, _mixed_rows
+
+    cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3, T_end=0.1505,
+                    grad_threshold=20.0, record_stride=1, gs_refs=gs_1d_s2)
+    spec = CovarianceSpec("fourier_diagonal", {(1,): 0.01})
+    u0s = _mixed_rows(gs_1d_s2, GRIDS[1])[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0s = [mass(u) for u in u0s]
+        path = Trajectory(cfg, u0s, spec, [(9, i) for i in range(4)])
+        behind = 0  # checks of a live row whose position is below its index
+        while path.advance():
+            for i, row in enumerate(path.rows):
+                if row.status is None:
+                    now = observe(path.state(i), row.t, m0s[i], cfg.alpha_or_zero, cfg.sigma)
+                    assert now == path.record(i).samples[-1]
+                    behind += path.live.index(row) < i
+    assert behind > 10
 
 
 def _transform_counts(gs, monkeypatch, record_stride):
@@ -450,7 +467,7 @@ def _transform_counts(gs, monkeypatch, record_stride):
     for n_steps in (10, 20):
         cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3,
                         T_end=n_steps * 1e-3, grad_threshold=1e3, record_stride=record_stride,
-                        gs_refs=refs_of(gs))
+                        gs_refs=gs)
         calls.update(field=0, sampler=0)
         rec = run_trajectory(cfg, q.with_values(q.values), spec, seed=(1, 0))  # no cached spectrum
         assert rec.status.kind == "survived"
@@ -492,7 +509,7 @@ def test_sample_arrays_match_to_dict(gs_1d_s2):
     grid = GridSpec(1, 20.0, 128)
     q = ground_state_field(gs_1d_s2, grid)
     cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=1e-3, T_end=0.02,
-                    grad_threshold=1e3, record_stride=2, gs_refs=refs_of(gs_1d_s2))
+                    grad_threshold=1e3, record_stride=2, gs_refs=gs_1d_s2)
     rec = run_trajectory(cfg, q, None, 0)
     arrays = rec.sample_arrays()
     assert list(arrays) == list(asdict(rec.samples[0]))
@@ -506,7 +523,7 @@ def test_overflow_fails_on_the_step_it_happens(gs_1d_s2, stride):
     grid = GridSpec(1, 20.0, 128)
     u0 = FieldState(grid, 1e80 * np.exp(-grid.radius_sq).astype(complex))
     cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=1e-3, T_end=0.02,
-                    grad_threshold=1e100, record_stride=stride, gs_refs=refs_of(gs_1d_s2))
+                    grad_threshold=1e100, record_stride=stride, gs_refs=gs_1d_s2)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = run_trajectory(cfg, u0, None, 0)
     assert (rec.status.kind, rec.status.reason, rec.status.time) == ("failed", "overflow", 1e-3)

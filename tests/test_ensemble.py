@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snls.dynamics import GroundStateRefs, SimConfig, StoppingThresholds, run_trajectory
+from snls.dynamics import SimConfig, StoppingThresholds, run_trajectory
 from snls.ensemble import (
     EnsembleConfig,
     compare_with_theory,
@@ -72,7 +72,7 @@ def small_ensemble_cfg(gs_1d_s2):
     spec = CovarianceSpec("fourier_diagonal", {(0,): 0.1, (1,): 0.1})
     sim = SimConfig(n=1, sigma=2.0, noise_type="additive", dt0=0.01, T_end=0.3,
                     grad_threshold=50.0, record_stride=3,
-                    gs_refs=GroundStateRefs.from_ground_state(gs_1d_s2))
+                    gs_refs=gs_1d_s2)
     return EnsembleConfig(n_traj=24, master_seed=77, trajectory=sim, grid=grid,
                           initial_data=InitialData("zero"), covariance=spec,
                           ground_state=gs_1d_s2, config_hash="h1")
@@ -225,7 +225,7 @@ def test_additive_energy_supermartingale_direction(gs_1d_s2):
     nc = noise_constants(spec, grid, 2.0)
     sim = SimConfig(n=1, sigma=2.0, noise_type="additive", dt0=5e-3, T_end=0.5,
                     grad_threshold=50.0, record_stride=5,
-                    gs_refs=GroundStateRefs.from_ground_state(gs_1d_s2))
+                    gs_refs=gs_1d_s2)
     init = InitialData("scaled_ground_state", {"mass_fraction": 0.5})
     ecfg = EnsembleConfig(n_traj=400, master_seed=31, trajectory=sim, grid=grid,
                           initial_data=init, covariance=spec, ground_state=gs_1d_s2,

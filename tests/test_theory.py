@@ -19,6 +19,7 @@ from snls.theory import (
     blowup_conditions_additive,
     blowup_conditions_multiplicative,
     blowup_conditions_multiplicative_random,
+    gradient_cap,
     mass_moment_bound,
     mass_sup_moment,
     t_star_additive_critical,
@@ -331,8 +332,7 @@ def test_apriori_bounds(gs3, noise_consts_small):
         assert z["E_sup_M"] == pytest.approx(stats["M"], rel=2 * eps)
     # u0 = Q: grad bound equals ||grad Q||^2 (consistency with Pokhozhaev)
     statq = {"M": gs3.mass, "H": gs3.energy, "V": 0.0, "G": 0.0}
-    outq = apriori_bounds(noise_consts_small, statq, t=1.0, eps=0.5, gs=gs3)
-    assert outq["grad_bound"] == pytest.approx(gs3.grad_sq, rel=1e-10)
+    assert gradient_cap(gs3, statq["M"]) == pytest.approx(gs3.grad_sq, rel=1e-10)
     # probability clamps to [0, 1]
     big = apriori_bounds(noise_consts_small, stats, t=1e12, eps=0.5, gs=gs3, beta=0.999)
     assert big["containment_exit_prob"] == 1.0
