@@ -485,7 +485,7 @@ class Trajectory:
         """Row i's path so far, its samples as one array; its status is None while it goes on."""
         row = self.rows[i]
         return TrajectoryRecord(values=np.array(row.samples), status=row.status,
-                                hit_times=row.hits, seed=row.seed, dt_final=row.dt)
+                                hit_times=dict(row.hits), seed=row.seed, dt_final=row.dt)
 
     def records(self) -> list:
         """Every row's path, in row order."""

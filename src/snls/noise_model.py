@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -36,28 +37,28 @@ def make_rng(master_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _canonical_mode(mode) -> tuple:
-    if np.isscalar(mode):
-        mode = (int(mode),)
-    return tuple(int(m) for m in mode)
-
-
-def _pair_representative(mode: tuple) -> tuple:
-    """One representative per {m, -m} pair: first nonzero component positive."""
+def _pair_representative(mode) -> tuple:
+    """One representative per {m, -m} pair, a tuple of Python ints whose first
+    nonzero component is positive; a scalar key m is the 1d mode (m,)."""
+    if type(mode) is not tuple:
+        mode = (mode,)
+    first = 0
     for m in mode:
-        if m > 0:
-            return mode
-        if m < 0:
-            return tuple(-c for c in mode)
-    return mode
+        if type(m) is not int:  # numpy integers, bools, ...: convert, then decide
+            return _pair_representative(tuple(map(int, mode)))
+        first = first or m
+    return tuple(-m for m in mode) if first < 0 else mode
 
 
 @dataclass(frozen=True)
 class CovarianceSpec:
     """Spatial covariance of the driving noise.
 
-    kind 'fourier_diagonal': amplitudes maps integer mode tuples to
-    lambda >= 0 (the +/-m pair shares one amplitude).  kind 'physical_kernel':
+    kind 'fourier_diagonal': amplitudes maps integer mode tuples (or, in 1d,
+    integers) to lambda >= 0; the +/-m pair shares one amplitude.  The stored
+    amplitudes are canonical: one key per pair, its representative as a tuple
+    of Python ints whose first nonzero component is positive, mapped to a
+    Python float.  Key order is not part of the contract.  kind 'physical_kernel':
     kernel holds samples of a real even convolution kernel K(x - y) on the
     grid; its Fourier multiplier must be nonnegative.  scale multiplies every
     amplitude, so all quadratic functionals pick up scale^2.
@@ -82,7 +83,7 @@ class CovarianceSpec:
                 lam = float(lam)
                 if lam < 0:
                     raise ValueError("amplitudes must be nonnegative")
-                rep = _pair_representative(_canonical_mode(mode))
+                rep = _pair_representative(mode)
                 if rep in amps and abs(amps[rep] - lam) > 1e-14 * max(1.0, lam):
                     raise ValueError(f"conflicting amplitudes for mode pair {rep}")
                 amps[rep] = lam
@@ -135,10 +136,13 @@ def _mode_table(spec: CovarianceSpec, grid: GridSpec):
     """Sorted pair representatives, one per row, and their amplitudes."""
     amps = spec.mode_amplitudes(grid)
     keys = sorted(amps)
-    modes = np.array(keys, dtype=np.int64).reshape(len(keys), grid.dim)
+    if set(map(len, keys)) - {grid.dim}:
+        raise ValueError(f"covariance mode length differs from grid dim {grid.dim}")
+    modes = np.fromiter(chain.from_iterable(keys), np.int64,
+                        len(keys) * grid.dim).reshape(len(keys), grid.dim)
     if np.any(np.abs(modes) > grid.dealias_fraction * (np.array(grid.points) / 2.0) + 1e-9):
         raise ValueError("covariance exceeds spectral band")
-    return modes, np.array([amps[m] for m in keys], dtype=float)
+    return modes, np.fromiter(map(amps.__getitem__, keys), float, len(keys))
 
 
 @lru_cache(maxsize=64)
@@ -261,13 +265,22 @@ def noise_constants(spec: CovarianceSpec, grid: GridSpec, sigma: float) -> Noise
 
 def gaussian_spectrum_amplitudes(grid: GridSpec, strength: float, width: float,
                                  k_max: int) -> dict:
-    """Named profile: lambda_m = strength * exp(-|xi_m|^2 width^2 / 2), |m_i| <= k_max."""
+    """Named profile: lambda_m = strength * exp(-|xi_m|^2 width^2 / 2), |m_i| <= k_max.
+
+    Keys are the pair representatives of the cube (2 k_max + 1)^dim, as
+    CovarianceSpec canonicalizes them: the zero mode and every mode whose first
+    nonzero component is positive, each a tuple of Python ints; values are
+    Python floats.  Key order is not part of the contract.
+    """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    amps = {}
-    for mode in np.ndindex(*[2 * k_max + 1] * grid.dim):
-        m = tuple(mi - k_max for mi in mode)
-        xi2 = sum((2.0 * np.pi * mi / L) ** 2 for mi, L in zip(m, grid.extent))
-        rep = _pair_representative(m)
-        amps[rep] = strength * float(np.exp(-0.5 * xi2 * width**2))
-    return amps
+    side = 2 * k_max + 1
+    n = side**grid.dim
+    # In lexicographic order over the symmetric cube, -m sits at the mirror
+    # index of m, so the upper half from the zero mode on holds one mode per pair.
+    modes = np.indices((side,) * grid.dim).reshape(grid.dim, n)[:, n // 2:] - k_max
+    xi2 = 0
+    for m, L in zip(modes, grid.extent):
+        xi2 = xi2 + (2.0 * np.pi * m / L) ** 2
+    lam = strength * np.exp(-0.5 * xi2 * width**2)
+    return dict(zip(map(tuple, modes.T.tolist()), lam.tolist()))

@@ -442,6 +442,24 @@ def test_state_of_a_row_after_others_stopped(gs_1d_s2):
     assert behind > 10
 
 
+
+def test_record_taken_mid_run_keeps_its_hit_times(gs_1d_s2):
+    # row 0 collapses: its record after the first step must not gain later hitting times
+    from test_batch import GRIDS, _mixed_rows
+
+    cfg = SimConfig(n=1, sigma=2.0, noise_type="none", dt0=1e-3, T_end=0.1505,
+                    grad_threshold=20.0, record_stride=1, gs_refs=gs_1d_s2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = Trajectory(cfg, _mixed_rows(gs_1d_s2, GRIDS[1]), None, [(9, i) for i in range(4)])
+        path.advance()
+        early = path.record(0)
+        early_hits = dict(early.hit_times)
+        while path.advance():
+            pass
+    assert early.hit_times == early_hits
+    assert path.record(0).status.kind == "blownup"
+    assert path.record(0).hit_times != early_hits
+
 def _transform_counts(gs, monkeypatch, record_stride):
     """Field and sampler transforms of 10- and 20-step multiplicative paths."""
     import numpy.fft

@@ -172,6 +172,96 @@ def test_gaussian_spectrum_profile():
     assert (2,) in amps and (-2,) not in amps  # canonical pair representatives
 
 
+
+def _reference_representative(mode):
+    for m in mode:
+        if m > 0:
+            return mode
+        if m < 0:
+            return tuple(-c for c in mode)
+    return mode
+
+
+def _reference_canonical_amplitudes(amplitudes):
+    """Per-key canonicalization with np.isscalar: the reference for CovarianceSpec."""
+    amps = {}
+    for mode, lam in amplitudes.items():
+        lam = float(lam)
+        if lam < 0:
+            raise ValueError("amplitudes must be nonnegative")
+        mode = (int(mode),) if np.isscalar(mode) else mode
+        rep = _reference_representative(tuple(int(m) for m in mode))
+        if rep in amps and abs(amps[rep] - lam) > 1e-14 * max(1.0, lam):
+            raise ValueError(f"conflicting amplitudes for mode pair {rep}")
+        amps[rep] = lam
+    return amps
+
+
+def _reference_gaussian_amplitudes(grid, strength, width, k_max):
+    """Per-mode loop over the cube: the reference for gaussian_spectrum_amplitudes."""
+    amps = {}
+    for mode in np.ndindex(*[2 * k_max + 1] * grid.dim):
+        m = tuple(mi - k_max for mi in mode)
+        xi2 = sum((2.0 * np.pi * mi / L) ** 2 for mi, L in zip(m, grid.extent))
+        amps[_reference_representative(m)] = strength * float(np.exp(-0.5 * xi2 * width**2))
+    return amps
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0])
+@pytest.mark.parametrize("grid", [
+    GridSpec(1, 2 * np.pi, 64), GridSpec(2, (8.0, 6.0), (16, 24)),
+    GridSpec(3, 20.0, 32, dealias_fraction=1.0), GridSpec(3, (20.0, 13.0, 7.5), (16, 12, 8)),
+], ids=["1d", "2d", "3d-32", "3d-aniso"])
+def test_gaussian_spectrum_matches_per_mode_loop(grid, width):
+    for k_max in range(6):
+        got = gaussian_spectrum_amplitudes(grid, 0.05, width, k_max)
+        want = _reference_gaussian_amplitudes(grid, 0.05, width, k_max)
+        assert got.keys() == want.keys()
+        assert all(got[m] == want[m] for m in want), k_max
+        assert all(type(v) is float for v in got.values())
+        assert all(type(c) is int for m in got for c in m)
+
+
+def _mode_key(draw, components):
+    """components as a key: Python ints, np.int64 or a mix; a bare integer in 1d."""
+    wrap = [draw(st.sampled_from([int, np.int64])) for _ in components]
+    key = tuple(w(c) for w, c in zip(wrap, components))
+    return key[0] if len(key) == 1 and draw(st.booleans()) else key
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonical_amplitudes_match_per_key_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    amplitudes = {}
+    for _ in range(data.draw(st.integers(0, 6))):
+        m = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        lam = data.draw(st.sampled_from([0.0, 0.1, 0.5, 2.0, -0.25]))
+        amplitudes[_mode_key(data.draw, m)] = lam
+        if data.draw(st.booleans()):  # the pair partner, equal up to the tolerance
+            lam *= data.draw(st.sampled_from([1.0, 1.0 + 2e-16, 1.0 + 1e-12]))
+            amplitudes[_mode_key(data.draw, [-c for c in m])] = np.float64(lam)
+    try:
+        want = _reference_canonical_amplitudes(amplitudes)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            CovarianceSpec("fourier_diagonal", amplitudes)
+        assert str(got.value) == str(err)
+        return
+    got = CovarianceSpec("fourier_diagonal", amplitudes).amplitudes
+    assert got == want
+    assert all(type(v) is float for v in got.values())
+    assert all(type(k) is tuple and all(type(c) is int for c in k) for k in got)
+
+
+def test_mode_dimension_must_match_grid():
+    spec = CovarianceSpec("fourier_diagonal", {(0,): 0.1, (1,): 0.1})
+    with pytest.raises(ValueError, match="grid dim 2"):
+        noise_constants(spec, GridSpec(2, 10.0, 16), 1.0)
+    spec = CovarianceSpec("fourier_diagonal", {(0, 1): 0.1, (1, 0): 0.1})
+    with pytest.raises(ValueError, match="grid dim 1"):
+        NoiseSampler(spec, GridSpec(1, 10.0, 16))
+
 def test_physical_kernel_reduces_to_diagonal():
     grid = GridSpec(1, 2 * np.pi, 64)
     width = 0.5
