@@ -442,7 +442,6 @@ def test_state_of_a_row_after_others_stopped(gs_1d_s2):
     assert behind > 10
 
 
-
 def test_record_taken_mid_run_keeps_its_hit_times(gs_1d_s2):
     # row 0 collapses: its record after the first step must not gain later hitting times
     from test_batch import GRIDS, _mixed_rows
@@ -459,6 +458,7 @@ def test_record_taken_mid_run_keeps_its_hit_times(gs_1d_s2):
     assert early.hit_times == early_hits
     assert path.record(0).status.kind == "blownup"
     assert path.record(0).hit_times != early_hits
+
 
 def _transform_counts(gs, monkeypatch, record_stride):
     """Field and sampler transforms of 10- and 20-step multiplicative paths."""

@@ -172,7 +172,6 @@ def test_gaussian_spectrum_profile():
     assert (2,) in amps and (-2,) not in amps  # canonical pair representatives
 
 
-
 def _reference_representative(mode):
     for m in mode:
         if m > 0:
@@ -261,6 +260,7 @@ def test_mode_dimension_must_match_grid():
     spec = CovarianceSpec("fourier_diagonal", {(0, 1): 0.1, (1, 0): 0.1})
     with pytest.raises(ValueError, match="grid dim 1"):
         NoiseSampler(spec, GridSpec(1, 10.0, 16))
+
 
 def test_physical_kernel_reduces_to_diagonal():
     grid = GridSpec(1, 2 * np.pi, 64)
