@@ -10,10 +10,17 @@ Everything a path depends on is held by its row, one object per path in
 Trajectory.rows, so a row's record is bitwise the one it gets alone, in any
 batch and on any number of workers.  A row holds:
 
-  * its own Philox noise stream, keyed by its seed; a noise draw reads each
-    live row's normals from its own stream and runs one inverse FFT over them;
-  * its own t, dt and step decisions: the linear propagator is looked up per
-    dt and stacked when rows differ (adaptive halving, a clipped last step);
+  * its own Philox noise stream, keyed by its seed.  Each live row draws the
+    normals of a block of steps from its stream with one call, into its row
+    of a (live rows, steps, parts, n_basis) array; a step reads its slice and
+    NoiseSampler.synthesize turns it into the increments with one inverse
+    FFT over all rows.  A stream's normals drawn k at a time are its k single
+    draws, so the blocks do not move a record.  The block holds at most
+    _NORMALS_BYTES and is compacted with the field arrays;
+  * its own t, dt and step decisions.  While every live row has one t and
+    one dt, one step, half step and propagator serve them all; otherwise the
+    propagator is looked up per dt and stacked when rows differ (adaptive
+    halving, a clipped last step);
   * its own hitting times, samples and status.  A row's samples are tuples of
     floats in observables.SAMPLE_KEYS order, and record(i) returns them as
     one (records, keys) float64 array.
@@ -65,11 +72,16 @@ surviving path's last sample is its only one in that band; off the stride
 the ending row records a synced temporary and the other rows stay pending.
 A record observes its rows as one batch state (observables.observe_rows):
 one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and the tail
-check, and one inverse FFT per axis for the momentum.  The next leading half
+check, and one inverse FFT per axis for the momentum; the grid sums of the
+record are one stacked reduction over one buffer.  The next leading half
 step uses the dt chosen after the adaptive check.  Overflow is not an error
 inside the loop: it makes the row's field non-finite, and a state that is
 not finite fails its row at its time t.  A state is checked when it is
 synced, or before the next step while it is pending.
+
+Snapshot caveat: a row's position in its noise stream is its Philox state
+together with its normals drawn but not yet used, so a copy of a row's state
+that keeps only the generator would not continue its path.
 """
 
 from __future__ import annotations
@@ -102,6 +114,7 @@ __all__ = [
 ]
 
 _T, _GRAD_SQ = SAMPLE_KEYS.index("t"), SAMPLE_KEYS.index("grad_sq")
+_NORMALS_BYTES = 2**18  # one block of normals, all live rows together
 
 STOPPING_TIME_NAMES = (
     "tau_delta_energy",    # sup H(u) M0^a >= delta_e H(Q) M(Q)^a
@@ -221,7 +234,9 @@ class TrajectoryRecord:
 
 def _power(values: np.ndarray, sigma: float) -> np.ndarray:
     """|u|^(2 sigma) of the field values."""
-    return abs2_power(values.real**2 + values.imag**2, sigma)
+    abs2 = np.square(values.real)
+    abs2 += np.square(values.imag)
+    return abs2_power(abs2, sigma)
 
 
 def _phase(values: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -309,7 +324,13 @@ def tracker_rows(cfg: SimConfig) -> list:
 
 class _Row:
     """One path: its seed, noise stream (None without noise), frozen initial mass m0,
-    t, dt, adaptive reference grad_ref, hitting times, samples and status."""
+    t, dt, adaptive reference grad_ref, hitting times, samples and status.
+
+    The row's normals are drawn ahead, a block of steps at a time, into its
+    row of Trajectory's normals block; so the position of its noise stream is
+    its Philox state together with its normals not yet used, and a copy of
+    the row alone would not continue its path.
+    """
 
     __slots__ = ("seed", "rng", "m0", "t", "dt", "grad_ref", "hits", "samples", "status")
 
@@ -352,13 +373,24 @@ class Trajectory:
                 row.rng = (make_rng(*row.seed) if isinstance(row.seed, tuple)
                            else make_rng(row.seed))
         self._sampler = sampler
+        # the block of drawn normals, (live rows, steps, parts, n_basis); it starts empty
+        parts = 2 if config.noise_type == "additive" else 1
+        self._normals = (None if config.noise_type == "none"
+                         else np.empty((len(self.rows), 0, parts, sampler.n_basis)))
+        self._used = 0  # steps of the normals block already read
+        self._end = config.T_end - 1e-12 * max(1.0, config.T_end)  # a row ends on reaching it
+        self._masked = g.dealias_fraction < 1.0
+        self._alpha = config.alpha_or_zero
+        self._same_clock = True  # whether every live row has one t and one dt
+        self._last_step = None  # (step, step / 2, propagator) of the last step all rows shared
         self._trackers = [(name, SAMPLE_KEYS.index(key), cmp, limit)
                           for name, key, cmp, limit in tracker_rows(config)]
         self.step = 0
         self.live = list(self.rows)
         vals = np.stack([u.values for u in u0s])
         grad0 = [v[_GRAD_SQ] for v in self._sample(FieldState(g, vals), self.live)]
-        if any(x >= config.grad_threshold**2 for x in grad0):
+        self._grad_limit = config.grad_threshold**2
+        if any(x >= self._grad_limit for x in grad0):
             raise ValueError("grad_threshold must exceed the initial gradient norm")
         for row, x in zip(self.rows, grad0):
             row.grad_ref = max(x, 1e-300)
@@ -369,7 +401,7 @@ class Trajectory:
     def _sample(self, u: FieldState, rows: list) -> list:
         """Observe u, the states of `rows` at their times, and update their trackers."""
         samples = observe_rows(u, [row.t for row in rows], [row.m0 for row in rows],
-                               self.config.alpha_or_zero, self.config.sigma)
+                               self._alpha, self.config.sigma)
         for row, v in zip(rows, samples):
             row.samples.append(v)
             for name, col, cmp, limit in self._trackers:
@@ -383,13 +415,14 @@ class Trajectory:
         cfg = self.config
         for row, v, tail in zip(rows, self._sample(u, rows), tail_fraction_rows(u)):
             t, grad_sq = v[_T], v[_GRAD_SQ]
-            if grad_sq >= cfg.grad_threshold**2:
+            if grad_sq >= self._grad_limit:
                 row.status = TerminalStatus("blownup", t)
             elif tail > cfg.tail_fraction_max:
                 row.status = TerminalStatus("blownup", t, "spectral tail")
             elif cfg.adapt is not None and grad_sq > cfg.adapt.growth_factor * row.grad_ref:
                 if row.dt > cfg.adapt.dt_min:
                     row.dt = max(row.dt / 2.0, cfg.adapt.dt_min)
+                    self._same_clock = False
                 row.grad_ref = grad_sq
 
     def _fail(self, row: _Row):
@@ -403,9 +436,35 @@ class Trajectory:
         keep = [row.status is None for row in self.live]
         if all(keep):
             return
-        self.live = [row for row in self.live if row.status is None]
+        self.live = live = [row for row in self.live if row.status is None]
         self._vals, self._theta, self._power = (
             self._vals[keep], self._theta[keep], self._power[keep])
+        if self._normals is not None:
+            self._normals = self._normals[keep]
+        if live and not self._same_clock:  # the rows that halved dt may have ended
+            first = live[0]
+            self._same_clock = all(row.t == first.t and row.dt == first.dt for row in live)
+
+    def _next_normals(self) -> np.ndarray:
+        """This step's normals, one (parts, n_basis) row per live row.
+
+        They are read from the block of normals; when it is used up, each live
+        row draws its next block from its own stream, with one call, so its
+        normals are those of drawing them step by step.  A block holds at most
+        _NORMALS_BYTES and no more steps than the longest row has left at its dt.
+        """
+        block = self._normals
+        if self._used == block.shape[1]:
+            t_end, live = self.config.T_end, self.live
+            left = max(int((t_end - row.t) / row.dt) for row in live) + 1
+            per_step = block.itemsize * block.shape[2] * block.shape[3] * len(live)
+            block = np.empty((len(live), min(left, max(1, _NORMALS_BYTES // per_step)))
+                             + block.shape[2:])
+            for row, normals in zip(live, block):
+                row.rng.standard_normal(out=normals)
+            self._normals, self._used = block, 0
+        self._used += 1
+        return block[:, self._used - 1]
 
     def state(self, i: int) -> FieldState:
         """The field of live row i at its time t, with the pending phase applied."""
@@ -421,18 +480,22 @@ class Trajectory:
         Returns whether any row goes on; once every status is set it stays False.
         """
         cfg, g = self.config, self.grid
-        sigma, t_end, stride = cfg.sigma, cfg.T_end, cfg.record_stride
-        end = t_end - 1e-12 * max(1.0, t_end)  # a row ends and records on the step reaching it
-        masked = g.dealias_fraction < 1.0
+        sigma, t_end, stride, end = cfg.sigma, cfg.T_end, cfg.record_stride, self._end
         with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails alone
             while self.live:
                 live = self.live
-                steps = [min(row.dt, t_end - row.t) for row in live]
+                if self._same_clock:  # one step for every row
+                    steps = [min(live[0].dt, t_end - live[0].t)] * len(live)
+                else:
+                    steps = [min(row.dt, t_end - row.t) for row in live]
                 if steps.count(steps[0]) == len(live):  # a Python float keeps numpy's fast loops
-                    half, prop = steps[0] / 2.0, _propagator(g, steps[0], masked)
+                    if self._last_step is None or self._last_step[0] != steps[0]:
+                        self._last_step = (steps[0], steps[0] / 2.0,
+                                           _propagator(g, steps[0], self._masked))
+                    _, half, prop = self._last_step
                 else:  # rows on different dt: adaptive halving or a clipped last step
                     half = np.array([d / 2.0 for d in steps]).reshape((-1,) + (1,) * g.dim)
-                    prop = np.stack([_propagator(g, d, masked) for d in steps])
+                    prop = np.stack([_propagator(g, d, self._masked) for d in steps])
                 lead = half * self._power  # the leading half step joins the pending phase
                 if self._pending:  # the states at t were not yet checked
                     vals = _phase(self._vals, np.add(self._theta, lead, out=self._theta))
@@ -444,10 +507,10 @@ class Trajectory:
                 power = _power(vals, sigma)
                 theta = half * power
                 if cfg.noise_type == "multiplicative":  # Stratonovich phase: commutes
-                    theta += self._sampler.sample_rows(steps, [row.rng for row in live])
+                    theta += self._sampler.synthesize(self._next_normals(), steps)
                 elif cfg.noise_type == "additive":  # not a phase: the trailing half step first
-                    vals = _phase(vals, theta) - 1j * self._sampler.sample_rows(
-                        steps, [row.rng for row in live], complex_valued=True)
+                    vals = _phase(vals, theta) - 1j * self._sampler.synthesize(
+                        self._next_normals(), steps, complex_valued=True)
                     power = _power(vals, sigma)
                 self.step += 1
                 on_stride = self.step % stride == 0

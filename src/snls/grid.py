@@ -28,8 +28,6 @@ __all__ = [
     "row_sums",
     "mass",
     "abs2_power",
-    "gradient_norm_sq_rows",
-    "variance_rows",
     "boundary_fraction_rows",
     "tail_fraction_rows",
 ]
@@ -250,23 +248,11 @@ def abs2_power(abs2: np.ndarray, sigma: float) -> np.ndarray:
     """
     k = int(sigma)
     if k == sigma and k >= 1:
-        out = abs2
-        for _ in range(k - 1):
-            out = out * abs2
+        out = abs2 if k == 1 else abs2 * abs2
+        for _ in range(k - 2):
+            out *= abs2
         return out
     return np.exp(sigma * np.log(np.maximum(abs2, 1e-300)))
-
-
-def gradient_norm_sq_rows(state: FieldState) -> list:
-    """||grad u||_{L^2}^2 of each row via the spectral symbol |xi|^2."""
-    g = state.grid
-    c = g.cell_volume / g.total_points
-    return [c * x for x in row_sums(g.laplacian_symbol * state.spectral_abs2, g).tolist()]
-
-
-def variance_rows(grid: GridSpec, abs2: np.ndarray) -> list:
-    """Variance V(u) = integral |x|^2 |u|^2 dx per row, x in [-L/2, L/2), from abs2 = |u|^2."""
-    return [grid.cell_volume * x for x in row_sums(grid.radius_sq * abs2, grid).tolist()]
 
 
 @lru_cache(maxsize=16)
@@ -278,7 +264,9 @@ def _outer_index(grid: GridSpec, shell: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _tail_index(grid: GridSpec, inner: float) -> np.ndarray:
+def _tail_kept_index(grid: GridSpec, inner: float) -> tuple:
+    """The flat index of the tail modes followed by that of the kept modes, and
+    the number of tail modes: one gather serves both sums of the tail check."""
     tail = np.zeros(grid.shape, dtype=bool)
     for axis, (k, N) in enumerate(zip(grid.mode_indices, grid.points)):
         cut = grid.dealias_fraction * (N / 2.0)
@@ -287,12 +275,10 @@ def _tail_index(grid: GridSpec, inner: float) -> np.ndarray:
         shape[axis] = N
         tail |= sel.reshape(shape)
     tail &= grid.dealias_mask
-    return _frozen_flat_index(tail)
-
-
-@lru_cache(maxsize=16)
-def _kept_index(grid: GridSpec) -> np.ndarray:
-    return _frozen_flat_index(grid.dealias_mask)
+    tail_index = np.flatnonzero(tail)
+    index = np.concatenate([tail_index, np.flatnonzero(grid.dealias_mask)])
+    index.flags.writeable = False
+    return index, tail_index.size
 
 
 def _frozen_flat_index(mask: np.ndarray) -> np.ndarray:
@@ -319,6 +305,8 @@ def tail_fraction_rows(state: FieldState, inner: float = 0.75) -> list:
     band limit.  A large value means the collapse is no longer resolved.
     """
     g = state.grid
-    uh2 = state.spectral_abs2
-    return _fractions(_row_take_sums(uh2, g, _tail_index(g, inner)),
-                      _row_take_sums(uh2, g, _kept_index(g)).tolist())
+    index, n_tail = _tail_kept_index(g, inner)
+    both = state.spectral_abs2.reshape(-1, g.total_points).take(index, axis=1)
+    # each part of a row is contiguous, so its sum is that of its own gather
+    return _fractions(np.add.reduce(both[:, :n_tail], axis=1),
+                      np.add.reduce(both[:, n_tail:], axis=1).tolist())

@@ -182,10 +182,17 @@ def _constants(modes, lam, grid: GridSpec, sigma: float) -> NoiseConstants:
 class NoiseSampler:
     """Spectral synthesis of increments on one grid, without basis fields.
 
-    Gaussians are drawn in a fixed order: sorted pair representatives, cos
-    before sin.  Each owns one slot (re or im part) of the half spectrum an
-    inverse real FFT reads; Nyquist pairs such as (1, 4) and (1, -4) at N = 8
-    share one, and their draws add.  A draw writes one row per real field of
+    Drawing and synthesis are separate steps.  A real field takes n_basis
+    standard normals, one per basis field in a fixed order: sorted pair
+    representatives, cos before sin.  synthesize turns drawn normals into
+    increments; sample_rows draws one row per rng and synthesizes it.  A
+    caller that draws the normals of many steps at once (dynamics.Trajectory)
+    gets the increments of drawing them step by step, since a stream's
+    normals drawn k at a time are its single draws in order.
+
+    Each normal owns one slot (re or im part) of the half spectrum an inverse
+    real FFT reads; Nyquist pairs such as (1, 4) and (1, -4) at N = 8 share
+    one, and their normals add.  Synthesis writes one row per real field of
     a scratch half spectrum the sampler owns, so use one sampler per thread,
     and runs one inverse real FFT over the grid axes of all rows.
     """
@@ -217,25 +224,39 @@ class NoiseSampler:
         unique = np.unique(slots)
         self._slots, self._gather = ((unique, np.searchsorted(unique, slots))
                                      if unique.size < slots.size else (slots, None))
+        self._scaled = (None, None)  # (dt, sqrt(dt) * coef) of the last step every row shared
 
     def sample_rows(self, dts, rngs, complex_valued: bool = False) -> np.ndarray:
         """One increment per row, row i drawn from rngs[i] with step dts[i].
 
-        Real rows are Delta W = sqrt(dt) sum_k lambda_k g_k e_k.  Complex rows
-        have independent Re and Im parts, each with amplitude / sqrt(2), drawn
-        in that order from the row's rng; this normalization gives
-        E ||Delta W||_{L^2}^2 = hs00 * dt, which is what the additive mass
-        identity  E M(u(t)) = M(u_0) + t ||phi||^2  requires.  A row's draws
-        and its transform do not depend on the other rows.
+        The rows' normals are drawn in row order, each row's from its rng, so
+        rngs may repeat one generator; then synthesize makes the increments.
         """
-        parts = 2 if complex_valued else 1
-        if min(dts) <= 0:
-            raise ValueError("dt must be positive")
-        g = np.empty((len(rngs), parts, self.n_basis))
+        g = np.empty((len(rngs), 2 if complex_valued else 1, self.n_basis))
         for row, rng in zip(g, rngs):
             rng.standard_normal(out=row)
-        g *= np.multiply.outer([float(dt) ** 0.5 for dt in dts], self._coef)[:, None]
-        n_rows = len(rngs) * parts  # one half spectrum per real field
+        return self.synthesize(g, dts, complex_valued)
+
+    def synthesize(self, normals, dts, complex_valued: bool = False) -> np.ndarray:
+        """The increments of drawn normals, one row per row of normals, step dts[i].
+
+        normals has shape (rows, parts, n_basis): parts is 2 for complex rows
+        (the Re part's normals, then the Im part's) and 1 for real ones; it is
+        not modified.  Real rows are Delta W = sqrt(dt) sum_k lambda_k g_k e_k.
+        Complex rows have independent Re and Im parts, each with amplitude /
+        sqrt(2); this normalization gives E ||Delta W||_{L^2}^2 = hs00 * dt,
+        which is what the additive mass identity  E M(u(t)) = M(u_0) + t ||phi||^2
+        requires.  A row's increment does not depend on the other rows.
+        """
+        if min(dts) <= 0:
+            raise ValueError("dt must be positive")
+        if dts.count(dts[0]) == len(dts):  # sqrt(dt) * coef once per shared dt
+            if self._scaled[0] != dts[0]:
+                self._scaled = (dts[0], float(dts[0]) ** 0.5 * self._coef)
+            g = normals * self._scaled[1]
+        else:
+            g = normals * np.multiply.outer([float(dt) ** 0.5 for dt in dts], self._coef)[:, None]
+        n_rows = g.shape[0] * g.shape[1]  # one half spectrum per real field
         if self._gather is not None:
             offsets = self._slots.size * np.arange(n_rows)[:, None]
             g = np.bincount((self._gather + offsets).ravel(), weights=g.ravel(),

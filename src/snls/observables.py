@@ -14,16 +14,14 @@ from .grid import (
     _require_finite,
     abs2_power,
     boundary_fraction_rows,
-    gradient_norm_sq_rows,
     ifft_field,
     mass,
     row_sums,
-    variance_rows,
 )
 from .ground_state import GroundState
 
-__all__ = ["ObservableSample", "SAMPLE_KEYS", "observe_rows", "observe", "momentum_rows",
-           "classify_dichotomy", "DichotomyReport"]
+__all__ = ["ObservableSample", "SAMPLE_KEYS", "observe_rows", "observe", "classify_dichotomy",
+           "DichotomyReport"]
 
 
 @dataclass(frozen=True)
@@ -53,23 +51,6 @@ def _i_xi(grid: GridSpec, axis: int) -> np.ndarray:
     return ixi
 
 
-def momentum_rows(state: FieldState) -> list:
-    """G(u) = Im int u (x . grad conj(u)) dx per row, derivatives taken spectrally.
-
-    One inverse FFT per axis; Im(u conj(du)) is read off conj(du) u, formed
-    in the transform's own buffer.
-    """
-    g = state.grid
-    uh = state.spectral
-    acc = 0.0
-    for axis in range(g.dim):
-        du = ifft_field(_i_xi(g, axis) * uh, g.dim)
-        np.conjugate(du, out=du)
-        du *= state.values
-        acc = acc + row_sums(g.coords[axis] * du.imag, g)
-    return (g.cell_volume * acc).tolist()
-
-
 def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
     """All recorded scalars of each row of u, one tuple of floats per row in
     SAMPLE_KEYS order.
@@ -81,29 +62,48 @@ def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
     row, and the per-row arithmetic is on Python floats, so a row's sample is
     bitwise the same in any batch.
 
-    One record costs one |u|^2, which serves the mass, lp2s2 = h sum |u|^2
+    The grid sums of a record are one stacked reduction: |u|^2, |u|^2
     |u|^(2 sigma) (repeated products for an integer sigma, see abs2_power),
-    the variance and the boundary fraction; one FFT and one |uhat|^2, cached
-    on u and shared with the spectral-tail check; and one inverse FFT per axis
-    for the momentum.  The finiteness check rides on the mass sums: the full
-    scan runs only when one of them is not finite.
+    |x|^2 |u|^2, |xi|^2 |uhat|^2 and x_a Im(conj(d_a u) u) per axis are written
+    into one (quantities, rows, *grid) buffer, and row_sums reduces each
+    contiguous row of it on its own.  |uhat|^2 takes one FFT, cached on u and
+    shared with the spectral-tail check; the momentum takes one inverse FFT
+    per axis.  The boundary fraction gathers its points from the |u|^2 row.
+    The finiteness check rides on the mass sums: the full scan runs only
+    when one of them is not finite.
     """
     g = u.grid
     h = g.cell_volume
-    abs2 = u.values.real**2 + u.values.imag**2
-    total = row_sums(abs2, g).tolist()
+    vals = u.values
+    n = vals.size // g.total_points
+    buf = np.empty((4 + g.dim, n) + g.shape)
+    abs2 = buf[0]
+    np.square(vals.real, out=abs2)
+    abs2 += np.square(vals.imag)
+    np.multiply(abs2, abs2_power(abs2, sigma), out=buf[1])
+    np.multiply(g.radius_sq, abs2, out=buf[2])
+    np.multiply(g.laplacian_symbol, u.spectral_abs2, out=buf[3])
+    for axis in range(g.dim):  # x_a Im(conj(d_a u) u), formed in the transform's buffer
+        du = ifft_field(_i_xi(g, axis) * u.spectral, g.dim)
+        np.conjugate(du, out=du)
+        du *= vals
+        np.multiply(g.coords[axis], du.imag, out=buf[4 + axis])
+    sums = row_sums(buf, g).tolist()  # quantity k of row i at k * n + i
+    total = sums[:n]
     if not all(map(math.isfinite, total)):  # a non-finite field, or |u|^2 overflowed
         _require_finite(u)
     p = 2.0 * sigma + 2.0
-    columns = zip(t, m0, total, row_sums(abs2 * abs2_power(abs2, sigma), g).tolist(),
-                  gradient_norm_sq_rows(u), variance_rows(g, abs2), momentum_rows(u),
-                  boundary_fraction_rows(g, abs2, total))
+    c = h / g.total_points
     rows = []
-    for t_row, m0_row, total_row, lp_row, grad_sq, variance, mom, boundary in columns:
-        lp2s2 = h * lp_row
+    for i, boundary in enumerate(boundary_fraction_rows(g, abs2, total)):
+        lp2s2 = h * sums[n + i]
+        grad_sq = c * sums[3 * n + i]
         energy = 0.5 * grad_sq - lp2s2 / p
-        rows.append((float(t_row), h * total_row, energy, grad_sq, lp2s2, variance, mom,
-                     math.sqrt(grad_sq) * m0_row ** (alpha / 2.0), energy * m0_row**alpha,
+        mom = 0.0
+        for axis_sum in sums[4 * n + i::n]:  # the axes added in order
+            mom = mom + axis_sum
+        rows.append((float(t[i]), h * total[i], energy, grad_sq, lp2s2, h * sums[2 * n + i],
+                     h * mom, math.sqrt(grad_sq) * m0[i] ** (alpha / 2.0), energy * m0[i]**alpha,
                      boundary))
     return rows
 

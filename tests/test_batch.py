@@ -128,6 +128,78 @@ def test_sampler_rows_match_single_draws(dims, points, modes):
         for i, dt in enumerate(dts):
             single = sampler.sample_rows((dt,), (make_rng(2, i),), complex_valued)
             assert np.array_equal(rows[i], single[0])
+        # sample_rows is synthesize of the normals drawn row by row
+        parts = 2 if complex_valued else 1
+        normals = np.stack([make_rng(2, i).standard_normal((parts, sampler.n_basis))
+                            for i in range(3)])
+        assert np.array_equal(sampler.synthesize(normals, dts, complex_valued), rows)
+
+
+def test_normals_drawn_in_blocks_are_the_single_draws():
+    # the property block draws rest on: k normals at once are the next k single draws
+    rng, block = make_rng(5, 1), make_rng(5, 1).standard_normal((7, 2, 3))
+    assert np.array_equal(block, np.stack([rng.standard_normal((2, 3)) for _ in range(7)]))
+
+
+def _block_records(cfg, u0s, spec, seeds, steps_per_block, monkeypatch):
+    """Records under a normals budget of steps_per_block steps of the full batch,
+    checked against each row alone; also returns whether a row ended mid-block."""
+    import snls.dynamics
+
+    parts = 2 if cfg.noise_type == "additive" else 1
+    monkeypatch.setattr(snls.dynamics, "_NORMALS_BYTES",
+                        steps_per_block * 8 * parts * 2 * len(u0s))  # 2 basis fields
+    mid_block = []
+    compact = Trajectory._compact
+
+    def watched(path):
+        before = len(path.live)
+        compact(path)
+        if len(path.live) < before:
+            mid_block.append(0 < path._used < path._normals.shape[1])
+
+    monkeypatch.setattr(Trajectory, "_compact", watched)
+    records = assert_rows_match_alone(cfg, u0s, spec, seeds)
+    monkeypatch.undo()
+    return records, any(mid_block)
+
+
+def _same_records(got, want):
+    assert [(r.values.tolist(), r.status, r.hit_times, r.dt_final) for r in got] == [
+        (r.values.tolist(), r.status, r.hit_times, r.dt_final) for r in want]
+
+
+@pytest.mark.parametrize("steps_per_block", [1, 3])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("noise", ["multiplicative", "additive"])
+def test_block_draws_across_blocks_and_compaction(gs_1d_s2, noise, stride, steps_per_block,
+                                                  monkeypatch):
+    # a tiny normals budget: the rows cross many block boundaries and end mid-block
+    grid = GRIDS[1]
+    cfg = SimConfig(n=1, sigma=2.0, noise_type=noise, dt0=1e-3, T_end=0.1505,
+                    grad_threshold=20.0, record_stride=stride, gs_refs=gs_1d_s2)
+    spec = CovarianceSpec("fourier_diagonal", {(1,): 0.01})
+    u0s, seeds = _mixed_rows(gs_1d_s2, grid), [(9, i) for i in range(4)]
+    default = assert_rows_match_alone(cfg, u0s, spec, seeds)
+    small, mid_block = _block_records(cfg, u0s, spec, seeds, steps_per_block, monkeypatch)
+    _same_records(small, default)
+    assert mid_block or steps_per_block == 1
+
+
+@pytest.mark.parametrize("steps_per_block", [1, 2])
+def test_block_draws_on_different_dt(gs_1d_s2, steps_per_block, monkeypatch):
+    grid = GRIDS[1]
+    q, x = ground_state_field(gs_1d_s2, grid).values, grid.axes[0]
+    u0s = [FieldState(grid, c * q * np.exp(-chirp * 1j * x**2))
+           for c, chirp in ((1.6, 0.5), (0.8, 0.0), (1.4, 0.3), (0.6, 0.0))]
+    cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3, T_end=0.1205,
+                    grad_threshold=20.0, record_stride=2,
+                    adapt=AdaptSpec(growth_factor=1.5, dt_min=1e-4), gs_refs=gs_1d_s2)
+    spec = CovarianceSpec("fourier_diagonal", {(1,): 0.01})
+    seeds = [(4, i) for i in range(4)]
+    default = assert_rows_match_alone(cfg, u0s, spec, seeds)
+    small, _ = _block_records(cfg, u0s, spec, seeds, steps_per_block, monkeypatch)
+    _same_records(small, default)
 
 
 @pytest.fixture(scope="module")

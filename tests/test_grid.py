@@ -4,16 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from snls.grid import (
-    FieldState,
-    GridSpec,
-    boundary_fraction_rows,
-    gradient_norm_sq_rows,
-    mass,
-    tail_fraction_rows,
-    variance_rows,
-)
+from snls.grid import FieldState, GridSpec, boundary_fraction_rows, mass, tail_fraction_rows
+from snls.observables import observe
 from snls.verify import random_smooth_field
+
+
+def grad_sq(u: FieldState) -> float:
+    """||grad u||^2 as observe records it."""
+    return observe(u, 0.0, 1.0, 0.0, 1.0).grad_sq
+
+
+def variance(grid: GridSpec, values) -> float:
+    """V(u) = int |x|^2 |u|^2 as observe records it."""
+    return observe(FieldState(grid, values), 0.0, 1.0, 0.0, 1.0).variance
 
 
 def test_grid_validation():
@@ -64,13 +67,13 @@ def test_gradient_single_mode():
     u_raw = np.exp(1j * xi0 * g.axes[0])
     u = FieldState(g, u_raw / np.sqrt(mass(FieldState(g, u_raw))))
     assert mass(u) == pytest.approx(1.0, rel=1e-13)
-    assert gradient_norm_sq_rows(u)[0] == pytest.approx(xi0**2, rel=1e-12)
+    assert grad_sq(u) == pytest.approx(xi0**2, rel=1e-12)
 
 
 def test_gradient_constant_is_zero():
     g = GridSpec(1, 10.0, 64)
     u = FieldState(g, np.full(64, 2.3 + 1.1j))
-    assert gradient_norm_sq_rows(u)[0] == pytest.approx(0.0, abs=1e-20)
+    assert grad_sq(u) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_gradient_sech_vs_quad_oracle():
@@ -78,12 +81,12 @@ def test_gradient_sech_vs_quad_oracle():
     u = FieldState(g, 1.0 / np.cosh(g.axes[0]))
     oracle = 2.0 * quad(lambda x: (np.tanh(x) / np.cosh(x)) ** 2, 0, 30, epsabs=1e-14)[0]
     assert oracle == pytest.approx(2.0 / 3.0, abs=1e-12)  # int sech^2 tanh^2 = 2/3
-    assert gradient_norm_sq_rows(u)[0] == pytest.approx(oracle, abs=1e-10)
+    assert grad_sq(u) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_variance_zero_field():
     g = GridSpec(1, 10.0, 64)
-    assert variance_rows(g, np.zeros(64))[0] == 0.0
+    assert variance(g, np.zeros(64)) == 0.0
 
 
 def test_variance_sech_vs_quad_oracle():
@@ -91,7 +94,7 @@ def test_variance_sech_vs_quad_oracle():
     u = FieldState(g, 1.0 / np.cosh(g.axes[0]))
     oracle = 2.0 * quad(lambda x: x**2 / np.cosh(x) ** 2, 0, 35, epsabs=1e-14)[0]
     assert oracle == pytest.approx(np.pi**2 / 6.0, abs=1e-10)
-    assert variance_rows(g, np.abs(u.values) ** 2)[0] == pytest.approx(
+    assert variance(g, u.values) == pytest.approx(
         np.pi**2 / 6.0, abs=1e-8)
 
 
@@ -103,10 +106,10 @@ def test_variance_translation_rule():
     h = g.spacing[0]
     x0 = 5.0
     shift = int(round(x0 / h))
-    v0 = variance_rows(g, np.abs(u_vals) ** 2)[0]
+    v0 = variance(g, u_vals)
     m = mass(FieldState(g, u_vals))
     first_moment = h * np.sum(x * np.abs(u_vals) ** 2)
-    v_shift = variance_rows(g, np.abs(np.roll(u_vals, shift)) ** 2)[0]
+    v_shift = variance(g, np.roll(u_vals, shift))
     brute = h * np.sum(x**2 * np.abs(np.roll(u_vals, shift)) ** 2)
     assert v_shift == pytest.approx(brute, rel=1e-14)
     assert v_shift == pytest.approx(v0 + 2 * x0 * first_moment + x0**2 * m, rel=1e-9)
@@ -140,8 +143,7 @@ def test_gradient_gauge_invariance(seed, theta):
     g = GridSpec(1, 25.0, 128)
     u = random_smooth_field(g, np.random.default_rng(seed))
     rotated = u.with_values(np.exp(1j * theta) * u.values)
-    assert gradient_norm_sq_rows(rotated)[0] == pytest.approx(gradient_norm_sq_rows(u)[0],
-                                                             rel=1e-12)
+    assert grad_sq(rotated) == pytest.approx(grad_sq(u), rel=1e-12)
 
 
 def test_fft_roundtrip_and_cache():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snls.grid import FieldState, GridSpec, abs2_power, mass
+from snls.grid import (FieldState, GridSpec, _require_finite, abs2_power,
+                       boundary_fraction_rows, fft_field, ifft_field, mass, row_sums)
 from snls.initial_data import ground_state_field
-from snls.observables import classify_dichotomy, momentum_rows, observe
+from snls.observables import _i_xi, classify_dichotomy, observe, observe_rows
 from snls.verify import random_smooth_field
 
 ORACLE_GRIDS = [GridSpec(1, 25.0, 128), GridSpec(2, 20.0, 32), GridSpec(3, 16.0, 16)]
@@ -45,7 +46,7 @@ def test_gauge_invariance_all_observables(theta, seed):
 def test_momentum_real_field_zero():
     grid = GridSpec(1, 20.0, 128)
     u = FieldState(grid, np.exp(-grid.axes[0] ** 2).astype(complex))
-    assert momentum_rows(u)[0] == pytest.approx(0.0, abs=1e-14)
+    assert observe(u, 0.0, 1.0, 0.0, 1.0).momentum == pytest.approx(0.0, abs=1e-14)
 
 
 def test_momentum_boosted_gaussian_oracle():
@@ -56,7 +57,7 @@ def test_momentum_boosted_gaussian_oracle():
     xi0 = 2.0 * np.pi * 3 / 30.0
     u = FieldState(grid, g * np.exp(1j * xi0 * x))
     brute = -xi0 * grid.cell_volume * np.sum(x * g**2)
-    assert momentum_rows(u)[0] == pytest.approx(brute, rel=1e-10)
+    assert observe(u, 0.0, 1.0, 0.0, 1.0).momentum == pytest.approx(brute, rel=1e-10)
 
 
 def test_gn_bound_every_sample(gs_1d_s2):
@@ -188,3 +189,65 @@ def test_abs2_power_matches_exp_log(grid, sigma):
         assert np.max(np.abs(got - exp_log)) <= 1e-14 * np.max(exp_log)
     else:  # a fractional power is the exp-log form itself
         assert np.array_equal(got, exp_log)
+
+
+def _reference_rows(u, t, m0, alpha, sigma):
+    """observe_rows with one row_sums per quantity, the per-quantity formulas it
+    replaced: the reference for its stacked reduction, which must match bitwise."""
+    g = u.grid
+    h = g.cell_volume
+    abs2 = u.values.real**2 + u.values.imag**2
+    total = row_sums(abs2, g).tolist()
+    if not all(map(math.isfinite, total)):
+        _require_finite(u)
+    k = int(sigma)
+    if k == sigma and k >= 1:
+        power = abs2
+        for _ in range(k - 1):
+            power = power * abs2
+    else:
+        power = np.exp(sigma * np.log(np.maximum(abs2, 1e-300)))
+    p = 2.0 * sigma + 2.0
+    c = g.cell_volume / g.total_points
+    grad = [c * x for x in row_sums(g.laplacian_symbol * np.abs(fft_field(u.values, g.dim)) ** 2,
+                                    g).tolist()]
+    variance = [h * x for x in row_sums(g.radius_sq * abs2, g).tolist()]
+    uh = fft_field(u.values, g.dim)
+    acc = 0.0
+    for axis in range(g.dim):
+        du = ifft_field(_i_xi(g, axis) * uh, g.dim)
+        np.conjugate(du, out=du)
+        du *= u.values
+        acc = acc + row_sums(g.coords[axis] * du.imag, g)
+    momentum = (h * acc).tolist()
+    columns = zip(t, m0, total, row_sums(abs2 * power, g).tolist(), grad, variance, momentum,
+                  boundary_fraction_rows(g, abs2, total))
+    rows = []
+    for t_row, m0_row, total_row, lp_row, grad_sq, var, mom, boundary in columns:
+        lp2s2 = h * lp_row
+        energy = 0.5 * grad_sq - lp2s2 / p
+        rows.append((float(t_row), h * total_row, energy, grad_sq, lp2s2, var, mom,
+                     math.sqrt(grad_sq) * m0_row ** (alpha / 2.0), energy * m0_row**alpha,
+                     boundary))
+    return rows
+
+
+ROW_GRIDS = {1: GridSpec(1, 25.0, 64), 2: GridSpec(2, (20.0, 16.0), (16, 12)),
+             3: GridSpec(3, 16.0, 8)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), n_rows=st.integers(1, 4),
+       sigma=st.sampled_from([1.0, 2.0, 3.0, 1.5]), seed=st.integers(0, 2**31),
+       single=st.booleans())
+def test_observe_rows_is_bitwise_the_per_quantity_sums(dim, n_rows, sigma, seed, single):
+    # every value of the stacked reduction equals the one of its own row_sums
+    grid = ROW_GRIDS[dim]
+    rng = np.random.default_rng(seed)
+    n_rows = 1 if single else n_rows
+    vals = np.stack([random_smooth_field(grid, rng).values for _ in range(n_rows)])
+    u = FieldState(grid, vals[0] if single else vals)  # a single field is one row
+    t, m0 = rng.uniform(0, 1, n_rows).tolist(), rng.uniform(0.5, 2, n_rows).tolist()
+    alpha = float(rng.uniform(0, 1))
+    want = _reference_rows(FieldState(grid, u.values), t, m0, alpha, sigma)
+    assert observe_rows(u, t, m0, alpha, sigma) == want
