@@ -6,21 +6,23 @@ time t and record(i) its path; run_trajectory is a batch of one.  All live
 rows step in lock-step by step count, so each phase, power and FFT pair of a
 step is taken once over the batch, on the grid axes only.
 
-Everything a path depends on is held by its row, one object per path in
-Trajectory.rows, so a row's record is bitwise the one it gets alone, in any
-batch and on any number of workers.  A row holds:
+A path's state is its row, one object per path in Trajectory.rows, together
+with its row of Trajectory's block of drawn normals.  No path reads another's
+state, so a row's record is bitwise the one it gets alone, in any batch and
+on any number of workers.  A row holds:
 
-  * its own Philox noise stream, keyed by its seed.  Each live row draws the
-    normals of a block of steps from its stream with one call, into its row
-    of a (live rows, steps, parts, n_basis) array; a step reads its slice and
-    NoiseSampler.synthesize turns it into the increments with one inverse
-    FFT over all rows.  A stream's normals drawn k at a time are its k single
-    draws, so the blocks do not move a record.  The block holds at most
-    _NORMALS_BYTES and is compacted with the field arrays;
-  * its own t, dt and step decisions.  While every live row has one t and
-    one dt, one step, half step and propagator serve them all; otherwise the
-    propagator is looked up per dt and stacked when rows differ (adaptive
-    halving, a clipped last step);
+  * its own Philox noise stream, keyed by its seed.  Its position in the
+    stream is its Philox state plus its normals drawn but not yet used: each
+    live row draws the normals of a block of steps from its stream with one
+    call, into its row of a (live rows, steps, parts, n_basis) array, and
+    may draw past the step where it ends; those normals are never read.  A
+    step reads its slice and NoiseSampler.synthesize turns it into the
+    increments with one inverse FFT over all rows.  A stream's normals drawn
+    k at a time are its k single draws, so the blocks do not move a record.
+    The block holds at most _NORMALS_BYTES and is compacted with the field
+    arrays;
+  * its own t, dt and step decisions: the linear propagator is looked up per
+    dt and stacked when rows differ (adaptive halving, a clipped last step);
   * its own hitting times, samples and status.  A row's samples are tuples of
     floats in observables.SAMPLE_KEYS order, and record(i) returns them as
     one (records, keys) float64 array.
@@ -72,8 +74,8 @@ surviving path's last sample is its only one in that band; off the stride
 the ending row records a synced temporary and the other rows stay pending.
 A record observes its rows as one batch state (observables.observe_rows):
 one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and the tail
-check, and one inverse FFT per axis for the momentum; the grid sums of the
-record are one stacked reduction over one buffer.  The next leading half
+check, and one inverse FFT per axis for the momentum; the grid sums of a
+small record are one stacked reduction.  The next leading half
 step uses the dt chosen after the adaptive check.  Overflow is not an error
 inside the loop: it makes the row's field non-finite, and a state that is
 not finite fails its row at its time t.  A state is checked when it is
@@ -378,19 +380,13 @@ class Trajectory:
         self._normals = (None if config.noise_type == "none"
                          else np.empty((len(self.rows), 0, parts, sampler.n_basis)))
         self._used = 0  # steps of the normals block already read
-        self._end = config.T_end - 1e-12 * max(1.0, config.T_end)  # a row ends on reaching it
-        self._masked = g.dealias_fraction < 1.0
-        self._alpha = config.alpha_or_zero
-        self._same_clock = True  # whether every live row has one t and one dt
-        self._last_step = None  # (step, step / 2, propagator) of the last step all rows shared
         self._trackers = [(name, SAMPLE_KEYS.index(key), cmp, limit)
                           for name, key, cmp, limit in tracker_rows(config)]
         self.step = 0
         self.live = list(self.rows)
         vals = np.stack([u.values for u in u0s])
         grad0 = [v[_GRAD_SQ] for v in self._sample(FieldState(g, vals), self.live)]
-        self._grad_limit = config.grad_threshold**2
-        if any(x >= self._grad_limit for x in grad0):
+        if any(x >= config.grad_threshold**2 for x in grad0):
             raise ValueError("grad_threshold must exceed the initial gradient norm")
         for row, x in zip(self.rows, grad0):
             row.grad_ref = max(x, 1e-300)
@@ -401,7 +397,7 @@ class Trajectory:
     def _sample(self, u: FieldState, rows: list) -> list:
         """Observe u, the states of `rows` at their times, and update their trackers."""
         samples = observe_rows(u, [row.t for row in rows], [row.m0 for row in rows],
-                               self._alpha, self.config.sigma)
+                               self.config.alpha_or_zero, self.config.sigma)
         for row, v in zip(rows, samples):
             row.samples.append(v)
             for name, col, cmp, limit in self._trackers:
@@ -415,14 +411,13 @@ class Trajectory:
         cfg = self.config
         for row, v, tail in zip(rows, self._sample(u, rows), tail_fraction_rows(u)):
             t, grad_sq = v[_T], v[_GRAD_SQ]
-            if grad_sq >= self._grad_limit:
+            if grad_sq >= cfg.grad_threshold**2:
                 row.status = TerminalStatus("blownup", t)
             elif tail > cfg.tail_fraction_max:
                 row.status = TerminalStatus("blownup", t, "spectral tail")
             elif cfg.adapt is not None and grad_sq > cfg.adapt.growth_factor * row.grad_ref:
                 if row.dt > cfg.adapt.dt_min:
                     row.dt = max(row.dt / 2.0, cfg.adapt.dt_min)
-                    self._same_clock = False
                 row.grad_ref = grad_sq
 
     def _fail(self, row: _Row):
@@ -436,14 +431,11 @@ class Trajectory:
         keep = [row.status is None for row in self.live]
         if all(keep):
             return
-        self.live = live = [row for row in self.live if row.status is None]
+        self.live = [row for row in self.live if row.status is None]
         self._vals, self._theta, self._power = (
             self._vals[keep], self._theta[keep], self._power[keep])
         if self._normals is not None:
             self._normals = self._normals[keep]
-        if live and not self._same_clock:  # the rows that halved dt may have ended
-            first = live[0]
-            self._same_clock = all(row.t == first.t and row.dt == first.dt for row in live)
 
     def _next_normals(self) -> np.ndarray:
         """This step's normals, one (parts, n_basis) row per live row.
@@ -480,22 +472,18 @@ class Trajectory:
         Returns whether any row goes on; once every status is set it stays False.
         """
         cfg, g = self.config, self.grid
-        sigma, t_end, stride, end = cfg.sigma, cfg.T_end, cfg.record_stride, self._end
+        sigma, t_end, stride = cfg.sigma, cfg.T_end, cfg.record_stride
+        end = t_end - 1e-12 * max(1.0, t_end)  # a row ends and records on the step reaching it
+        masked = g.dealias_fraction < 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails alone
             while self.live:
                 live = self.live
-                if self._same_clock:  # one step for every row
-                    steps = [min(live[0].dt, t_end - live[0].t)] * len(live)
-                else:
-                    steps = [min(row.dt, t_end - row.t) for row in live]
+                steps = [min(row.dt, t_end - row.t) for row in live]
                 if steps.count(steps[0]) == len(live):  # a Python float keeps numpy's fast loops
-                    if self._last_step is None or self._last_step[0] != steps[0]:
-                        self._last_step = (steps[0], steps[0] / 2.0,
-                                           _propagator(g, steps[0], self._masked))
-                    _, half, prop = self._last_step
+                    half, prop = steps[0] / 2.0, _propagator(g, steps[0], masked)
                 else:  # rows on different dt: adaptive halving or a clipped last step
                     half = np.array([d / 2.0 for d in steps]).reshape((-1,) + (1,) * g.dim)
-                    prop = np.stack([_propagator(g, d, self._masked) for d in steps])
+                    prop = np.stack([_propagator(g, d, masked) for d in steps])
                 lead = half * self._power  # the leading half step joins the pending phase
                 if self._pending:  # the states at t were not yet checked
                     vals = _phase(self._vals, np.add(self._theta, lead, out=self._theta))

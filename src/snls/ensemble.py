@@ -173,22 +173,6 @@ def _mean_paths(records):
     return out
 
 
-# One sample line: json.dumps of the sample dict writes a finite float as its repr
-_SAMPLE_LINE = "{" + ", ".join(f"{json.dumps(key)}: %r" for key in SAMPLE_KEYS) + "}\n"
-
-
-def _sample_lines(values: np.ndarray) -> str:
-    """The JSON lines of a record's samples, one object per row in SAMPLE_KEYS order.
-
-    A record holding NaN or +-inf takes json.dumps, which writes them as NaN
-    and +-Infinity; any other record fills _SAMPLE_LINE with the rows'
-    floats, the same bytes.
-    """
-    if np.isfinite(values).all():
-        return "".join(_SAMPLE_LINE % row for row in map(tuple, values.tolist()))
-    return "".join(json.dumps(dict(zip(SAMPLE_KEYS, row))) + "\n" for row in values.tolist())
-
-
 def persist_records(records, out_dir: str, compress: bool = False, start: int = 0):
     """One JSON-lines file per trajectory (samples), plus a terminal summary line.
 
@@ -199,7 +183,8 @@ def persist_records(records, out_dir: str, compress: bool = False, start: int = 
         path = os.path.join(out_dir, f"traj_{i:05d}.jsonl" + (".gz" if compress else ""))
         opener = gzip.open if compress else open
         with opener(path, "wt") as fh:
-            fh.write(_sample_lines(rec.values))
+            for row in rec.values.tolist():
+                fh.write(json.dumps(dict(zip(SAMPLE_KEYS, row))) + "\n")
             fh.write(json.dumps({"terminal": rec.to_summary_dict()}) + "\n")
 
 

@@ -224,7 +224,6 @@ class NoiseSampler:
         unique = np.unique(slots)
         self._slots, self._gather = ((unique, np.searchsorted(unique, slots))
                                      if unique.size < slots.size else (slots, None))
-        self._scaled = (None, None)  # (dt, sqrt(dt) * coef) of the last step every row shared
 
     def sample_rows(self, dts, rngs, complex_valued: bool = False) -> np.ndarray:
         """One increment per row, row i drawn from rngs[i] with step dts[i].
@@ -250,12 +249,7 @@ class NoiseSampler:
         """
         if min(dts) <= 0:
             raise ValueError("dt must be positive")
-        if dts.count(dts[0]) == len(dts):  # sqrt(dt) * coef once per shared dt
-            if self._scaled[0] != dts[0]:
-                self._scaled = (dts[0], float(dts[0]) ** 0.5 * self._coef)
-            g = normals * self._scaled[1]
-        else:
-            g = normals * np.multiply.outer([float(dt) ** 0.5 for dt in dts], self._coef)[:, None]
+        g = normals * np.multiply.outer([float(dt) ** 0.5 for dt in dts], self._coef)[:, None]
         n_rows = g.shape[0] * g.shape[1]  # one half spectrum per real field
         if self._gather is not None:
             offsets = self._slots.size * np.arange(n_rows)[:, None]

@@ -40,6 +40,11 @@ class ObservableSample:
 
 SAMPLE_KEYS = tuple(f.name for f in fields(ObservableSample))  # the columns of a sample row
 
+# The largest stack of a record's grid products reduced with one call.  A fresh
+# stack of megabytes (7 x 32^3 doubles) page-faults on every record, and the
+# one call saves little there; a 1d record's stack is tens of kilobytes.
+_STACK_BYTES = 2**19
+
 
 @lru_cache(maxsize=16)
 def _i_xi(grid: GridSpec, axis: int) -> np.ndarray:
@@ -62,33 +67,38 @@ def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
     row, and the per-row arithmetic is on Python floats, so a row's sample is
     bitwise the same in any batch.
 
-    The grid sums of a record are one stacked reduction: |u|^2, |u|^2
-    |u|^(2 sigma) (repeated products for an integer sigma, see abs2_power),
-    |x|^2 |u|^2, |xi|^2 |uhat|^2 and x_a Im(conj(d_a u) u) per axis are written
-    into one (quantities, rows, *grid) buffer, and row_sums reduces each
-    contiguous row of it on its own.  |uhat|^2 takes one FFT, cached on u and
-    shared with the spectral-tail check; the momentum takes one inverse FFT
-    per axis.  The boundary fraction gathers its points from the |u|^2 row.
-    The finiteness check rides on the mass sums: the full scan runs only
-    when one of them is not finite.
+    The grid sums of a record are |u|^2, |u|^2 |u|^(2 sigma) (repeated
+    products for an integer sigma, see abs2_power), |x|^2 |u|^2, |xi|^2
+    |uhat|^2 and x_a Im(conj(d_a u) u) per axis.  While they fit in
+    _STACK_BYTES they are written into one (quantities, rows, *grid) buffer
+    and reduced with one call; larger ones get an array each, reduced one by
+    one.  Either way row_sums reduces each contiguous row on its own, so the
+    sums are the same bits.  |uhat|^2 takes one FFT, cached on u and shared
+    with the spectral-tail check; the momentum takes one inverse FFT per
+    axis.  The boundary fraction gathers its points from |u|^2.  The
+    finiteness check rides on the mass sums: the full scan runs only when
+    one of them is not finite.
     """
     g = u.grid
     h = g.cell_volume
     vals = u.values
-    n = vals.size // g.total_points
-    buf = np.empty((4 + g.dim, n) + g.shape)
-    abs2 = buf[0]
+    n, k = vals.size // g.total_points, 4 + g.dim
+    stacked = k * 8 * vals.size <= _STACK_BYTES
+    out = (np.empty((k, n) + g.shape) if stacked  # one stack, reduced with one call
+           else [np.empty((n,) + g.shape) for _ in range(k)])
+    abs2 = out[0]
     np.square(vals.real, out=abs2)
     abs2 += np.square(vals.imag)
-    np.multiply(abs2, abs2_power(abs2, sigma), out=buf[1])
-    np.multiply(g.radius_sq, abs2, out=buf[2])
-    np.multiply(g.laplacian_symbol, u.spectral_abs2, out=buf[3])
+    np.multiply(abs2, abs2_power(abs2, sigma), out=out[1])
+    np.multiply(g.radius_sq, abs2, out=out[2])
+    np.multiply(g.laplacian_symbol, u.spectral_abs2, out=out[3])
     for axis in range(g.dim):  # x_a Im(conj(d_a u) u), formed in the transform's buffer
         du = ifft_field(_i_xi(g, axis) * u.spectral, g.dim)
         np.conjugate(du, out=du)
         du *= vals
-        np.multiply(g.coords[axis], du.imag, out=buf[4 + axis])
-    sums = row_sums(buf, g).tolist()  # quantity k of row i at k * n + i
+        np.multiply(g.coords[axis], du.imag, out=out[4 + axis])
+    sums = row_sums(out, g) if stacked else np.concatenate([row_sums(x, g) for x in out])
+    sums = sums.tolist()  # quantity q of row i at q * n + i
     total = sums[:n]
     if not all(map(math.isfinite, total)):  # a non-finite field, or |u|^2 overflowed
         _require_finite(u)

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snls.dynamics import (SimConfig, StoppingThresholds, TerminalStatus, TrajectoryRecord,
-                           run_trajectory)
+from snls.dynamics import SimConfig, StoppingThresholds, run_trajectory
 from snls.ensemble import (
     EnsembleConfig,
     compare_with_theory,
     estimate_survival,
     hitting_time_stats,
     mass_drift_check,
-    persist_records,
     run_ensemble,
     wilson_interval,
 )
@@ -270,21 +268,6 @@ def test_persisted_bytes_are_pinned(tmp_path, small_ensemble_cfg):
     with gzip.open(tmp_path / "gz" / "traj_00001.jsonl.gz", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == (
             "7d48ae4559bcd2acec1e5dedcb5672db996ee25c3bc1b38665130ccde95d6569")
-
-
-def test_sample_lines_are_the_json_dumps_bytes(tmp_path):
-    # finite records take the repr template, records with NaN or inf take json.dumps
-    edge = [-0.0, 1e16, 5e-324, 1e-7, 0.1, -2.5e-300, 1.7976931348623157e308, 3.0, 1 / 3, 0.0]
-    records = [TrajectoryRecord(np.array(rows), TerminalStatus("survived", 1.0), {}, (1, i), 0.1)
-               for i, rows in enumerate([[edge, edge[::-1]],
-                                         [edge[:7] + [math.nan, math.inf, -math.inf]]])]
-    persist_records(records, str(tmp_path))
-    for i, rec in enumerate(records):
-        want = "".join(json.dumps(dict(zip(SAMPLE_KEYS, row))) + "\n"
-                       for row in rec.values.tolist())
-        want += json.dumps({"terminal": rec.to_summary_dict()}) + "\n"
-        assert (tmp_path / f"traj_{i:05d}.jsonl").read_text() == want
-    assert "NaN, " in (tmp_path / "traj_00001.jsonl").read_text()
 
 
 def test_records_cross_the_pool_as_one_array(small_ensemble_cfg):

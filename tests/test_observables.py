@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from snls.grid import (FieldState, GridSpec, _require_finite, abs2_power,
                        boundary_fraction_rows, fft_field, ifft_field, mass, row_sums)
 from snls.initial_data import ground_state_field
+from snls import observables
 from snls.observables import _i_xi, classify_dichotomy, observe, observe_rows
 from snls.verify import random_smooth_field
 
@@ -239,9 +241,10 @@ ROW_GRIDS = {1: GridSpec(1, 25.0, 64), 2: GridSpec(2, (20.0, 16.0), (16, 12)),
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2, 3]), n_rows=st.integers(1, 4),
        sigma=st.sampled_from([1.0, 2.0, 3.0, 1.5]), seed=st.integers(0, 2**31),
-       single=st.booleans())
-def test_observe_rows_is_bitwise_the_per_quantity_sums(dim, n_rows, sigma, seed, single):
-    # every value of the stacked reduction equals the one of its own row_sums
+       single=st.booleans(), stacked=st.booleans())
+def test_observe_rows_is_bitwise_the_per_quantity_sums(dim, n_rows, sigma, seed, single,
+                                                       stacked):
+    # every value, stacked into one reduction or reduced one by one, equals its own row_sums
     grid = ROW_GRIDS[dim]
     rng = np.random.default_rng(seed)
     n_rows = 1 if single else n_rows
@@ -250,4 +253,5 @@ def test_observe_rows_is_bitwise_the_per_quantity_sums(dim, n_rows, sigma, seed,
     t, m0 = rng.uniform(0, 1, n_rows).tolist(), rng.uniform(0.5, 2, n_rows).tolist()
     alpha = float(rng.uniform(0, 1))
     want = _reference_rows(FieldState(grid, u.values), t, m0, alpha, sigma)
-    assert observe_rows(u, t, m0, alpha, sigma) == want
+    with patch.object(observables, "_STACK_BYTES", observables._STACK_BYTES if stacked else 0):
+        assert observe_rows(u, t, m0, alpha, sigma) == want
