@@ -12,6 +12,12 @@ them, like ``test_persisted_bytes_are_pinned``: another BLAS, FFT or scipy
 version may move the last bits.  The two ``mult-mass-check*`` presets run
 1e5 steps each (about 40 s together), so their record lines are checked by
 hand with ``python scripts/record_hashes.py mult-mass-check mult-mass-check-s3``.
+
+No preset runs a 2d path, and the 3d preset stops before its first record,
+so two configs of this file pin those: a 2d additive run on an anisotropic
+grid (complex increments, a half spectrum of mostly zero lines, two Nyquist
+modes sharing one slot) and the physics of the benchmark's ``mult-3d-32``
+cut to 20 steps and one path.
 """
 
 import hashlib
@@ -21,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from snls.config import ensemble_config
+from snls.config import ExperimentConfig, ensemble_config
 from snls.ensemble import run_ensemble
 from snls.ground_state import solve_ground_state
 from snls.presets import get_preset, preset_names
@@ -81,6 +87,28 @@ RECORD_HASHES = {
     "mult-intercritical-3d-cubic": "af6338202eb59882",
 }
 
+CONFIG_RECORD_HASHES = {
+    "add-2d-anisotropic": ({
+        "name": "add-2d-anisotropic",
+        "grid": {"dim": 2, "extent": [20.0, 12.0], "points": [32, 16], "dealias_fraction": 1.0},
+        "physics": {"n": 2, "sigma": 1.0, "noise_type": "additive"},
+        "covariance": {"kind": "fourier_diagonal", "scale": 1.0,
+                       "amplitudes": {"0,0": 0.04, "1,0": 0.03, "0,2": 0.03, "2,-1": 0.02,
+                                      "1,8": 0.01, "1,-8": 0.01}},
+        "initial_data": {"family": "scaled_ground_state", "params": {"mass_fraction": 0.5}},
+        "run": {"dt": 1e-3, "T_end": 0.02, "grad_threshold": 100.0, "record_stride": 5},
+    }, 3, "d14215544bd9e541"),
+    "mult-3d-32-20-steps": ({
+        "name": "mult-3d-32-20-steps",
+        "grid": {"dim": 3, "extent": 20.0, "points": 32, "dealias_fraction": 1.0},
+        "physics": {"n": 3, "sigma": 1.0, "noise_type": "multiplicative"},
+        "covariance": {"kind": "gaussian_spectrum", "scale": 1.0, "strength": 0.05,
+                       "width": 1.0, "k_max": 4},
+        "initial_data": {"family": "scaled_ground_state", "params": {"mass_fraction": 0.64}},
+        "run": {"dt": 2e-3, "T_end": 0.04, "grad_threshold": 100.0, "record_stride": 10},
+    }, 1, "20e0a734c17a9ad9"),
+}
+
 GROUND_STATE_HASHES = {(2, 1.0): "810158e0d2407a39", (3, 1.0): "1971883617c4bc64"}
 
 
@@ -111,6 +139,15 @@ def test_record_hashes_are_pinned(record_hashes, name):
     ecfg = ensemble_config(get_preset(name), n_traj, master_seed=record_hashes.MASTER_SEED)
     _, records = run_ensemble(ecfg)
     assert record_hashes.records_hash(records) == RECORD_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_RECORD_HASHES))
+def test_config_record_hashes_are_pinned(record_hashes, name):
+    doc, n_traj, expected = CONFIG_RECORD_HASHES[name]
+    ecfg = ensemble_config(ExperimentConfig.from_dict(doc), n_traj,
+                           master_seed=record_hashes.MASTER_SEED)
+    _, records = run_ensemble(ecfg)
+    assert record_hashes.records_hash(records) == expected
 
 
 def test_ground_state_hashes_are_pinned(record_hashes):
