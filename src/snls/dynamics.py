@@ -17,8 +17,10 @@ on any number of workers.  A row holds:
     call, into its row of a (live rows, steps, parts, n_basis) array, and
     may draw past the step where it ends; those normals are never read.  A
     step reads its slice and NoiseSampler.synthesize turns it into the
-    increments with one inverse FFT over all rows.  A stream's normals drawn
-    k at a time are its k single draws, so the blocks do not move a record.
+    increments of all rows at once: the passes of an inverse real FFT, each
+    over only the lines of the half spectrum that can be nonzero.  A
+    stream's normals drawn k at a time are its k single draws, so the blocks
+    do not move a record.
     The block holds at most _NORMALS_BYTES and is compacted with the field
     arrays;
   * its own t, dt and step decisions: the linear propagator is looked up per
@@ -60,7 +62,8 @@ fuses the trailing half step, the noise phase and the next leading half step
 into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s, pending until the
 next step or record.  A step is then one FFT pair, one evaluation of P and
 one complex exponential; P takes repeated products of |w|^2 for an integer
-sigma (grid.abs2_power).  The additive substep is not a phase, so there the
+sigma (grid.abs2_power).  Both transforms of the pair run in place, in the
+buffer of the phased temporary that _linear consumes.  The additive substep is not a phase, so there the
 trailing half step is applied before it on every step.  step_deterministic
 is the same Strang step on a FieldState, built from the same phase and
 propagator helpers.
@@ -74,8 +77,9 @@ surviving path's last sample is its only one in that band; off the stride
 the ending row records a synced temporary and the other rows stay pending.
 A record observes its rows as one batch state (observables.observe_rows):
 one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and the tail
-check, and one inverse FFT per axis for the momentum; the grid sums of a
-small record are one stacked reduction.  The next leading half
+check, and one inverse FFT per axis for the momentum, in place in the
+buffer of its product i xi_a uhat; the grid sums of a small record are one
+stacked reduction.  The next leading half
 step uses the dt chosen after the adaptive check.  Overflow is not an error
 inside the loop: it makes the row's field non-finite, and a state that is
 not finite fails its row at its time t.  A state is checked when it is
@@ -262,10 +266,14 @@ def _propagator(grid: GridSpec, dt: float, masked: bool) -> np.ndarray:
 
 
 def _linear(values: np.ndarray, grid: GridSpec, prop: np.ndarray) -> np.ndarray:
-    """The linear full step over the grid axes."""
-    spec = fft_field(values, grid.dim)
+    """The linear full step over the grid axes.
+
+    It consumes values: both transforms run in its buffer, which holds the
+    result, so the caller passes a temporary it owns.
+    """
+    spec = fft_field(values, grid.dim, overwrite=True)
     spec *= prop
-    return ifft_field(spec, grid.dim)
+    return ifft_field(spec, grid.dim, overwrite=True)
 
 
 def step_deterministic(u: FieldState, dt: float, sigma: float) -> FieldState:

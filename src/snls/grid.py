@@ -154,17 +154,23 @@ class GridSpec:
         return mask
 
 
-def fft_field(values: np.ndarray, dim: int) -> np.ndarray:
+def fft_field(values: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
     """Unnormalized forward FFT over the last dim axes, so a leading row axis is kept.
 
-    The 1d call skips fftn's axis handling.
+    With overwrite a complex input is transformed in its own buffer, which is
+    returned; a caller passes it only for a temporary it owns.  The 1d call
+    skips fftn's axis handling.
     """
-    return sfft.fft(values) if dim == 1 else sfft.fftn(values, axes=range(-dim, 0))
+    if dim == 1:
+        return sfft.fft(values, overwrite_x=overwrite)
+    return sfft.fftn(values, axes=range(-dim, 0), overwrite_x=overwrite)
 
 
-def ifft_field(spectral: np.ndarray, dim: int) -> np.ndarray:
+def ifft_field(spectral: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
     """Inverse of fft_field."""
-    return sfft.ifft(spectral) if dim == 1 else sfft.ifftn(spectral, axes=range(-dim, 0))
+    if dim == 1:
+        return sfft.ifft(spectral, overwrite_x=overwrite)
+    return sfft.ifftn(spectral, axes=range(-dim, 0), overwrite_x=overwrite)
 
 
 class FieldState:

@@ -5,9 +5,10 @@ for each unordered mode pair {m, -m} the basis holds sqrt(2/L^d) cos(xi x)
 and sqrt(2/L^d) sin(xi x) (the constant 1/sqrt(L^d) for m = 0), and phi
 multiplies both by the amplitude lambda_m >= 0.  A convolution kernel is the
 same thing with lambda read off its Fourier multiplier.  No basis field is
-stored: increments are synthesised by one inverse FFT (Lord, Powell & Shardlow
-2014, ch. 10), and the functionals used by the bounds are the grid quadratures
-of the basis fields in closed form, exactly the constants the sampler realizes.
+stored: increments are synthesised by an inverse real FFT (Lord, Powell &
+Shardlow 2014, ch. 10) that skips the lines known to be zero, and the
+functionals used by the bounds are the grid quadratures of the basis fields
+in closed form, exactly the constants the sampler realizes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
+import scipy.fft as sfft
 
 from .grid import GridSpec
 
@@ -193,8 +195,14 @@ class NoiseSampler:
     Each normal owns one slot (re or im part) of the half spectrum an inverse
     real FFT reads; Nyquist pairs such as (1, 4) and (1, -4) at N = 8 share
     one, and their normals add.  Synthesis writes one row per real field of
-    a scratch half spectrum the sampler owns, so use one sampler per thread,
-    and runs one inverse real FFT over the grid axes of all rows.
+    scratch spectra the sampler owns, so use one sampler per thread, and runs
+    the passes of numpy's irfftn in its order over all rows: an inverse
+    complex FFT along each grid axis but the last, then the inverse real FFT
+    along the last.  A pass transforms only the lines whose later-axis
+    indices some mode takes (FFT pruning, Markel 1971).  That is exact: every
+    other line is all zero and would transform to exact zeros, and each line
+    is transformed on its own, so the increments are bitwise irfftn's.  In
+    1d there is only the last pass.
     """
 
     def __init__(self, spec: CovarianceSpec, grid: GridSpec):
@@ -217,13 +225,22 @@ class NoiseSampler:
         coef = grid.total_points * lam * sign * np.where(edge, 1.0, 0.5) * np.where(
             per_pair == 1, vol**-0.5, (2.0 / vol) ** 0.5)
         self._coef = coef[pair] * np.where(is_sin, np.where(flip[pair], 1, -1), 1)
-        self._half_shape = grid.shape[:-1] + (grid.points[-1] // 2 + 1,)
-        self._spectrum = np.zeros((0,) + self._half_shape, complex)  # scratch, one row per field
+        half_shape = grid.shape[:-1] + (grid.points[-1] // 2 + 1,)
         target = np.where(flip[:, None], -modes, modes) % grid.points
-        slots = 2 * np.ravel_multi_index(tuple(target.T), self._half_shape)[pair] + is_sin
+        # The half spectrum is zero off the lines whose later-axis indices some mode
+        # takes, so the pass over grid axis a reads a spectrum whose later axes are
+        # cut to their taken indices _lines[a:], and writes its lines into the next
+        # one; a pass whose next axis takes every index hands its output on whole.
+        self._lines = [np.unique(col) for col in target.T[1:]]
+        shapes = [half_shape[:a + 1] + tuple(map(len, self._lines[a:]))
+                  for a in range(grid.dim)]
+        self._shapes = shapes[:1] + [s if s != p else None for p, s in zip(shapes, shapes[1:])]
+        cut = [target[:, 0]] + [np.searchsorted(i, c) for i, c in zip(self._lines, target.T[1:])]
+        slots = 2 * np.ravel_multi_index(cut, shapes[0])[pair] + is_sin
         unique = np.unique(slots)
         self._slots, self._gather = ((unique, np.searchsorted(unique, slots))
                                      if unique.size < slots.size else (slots, None))
+        self._spectra = []  # scratch, one row per real field, zero off the slots and lines
 
     def sample_rows(self, dts, rngs, complex_valued: bool = False) -> np.ndarray:
         """One increment per row, row i drawn from rngs[i] with step dts[i].
@@ -255,17 +272,20 @@ class NoiseSampler:
             offsets = self._slots.size * np.arange(n_rows)[:, None]
             g = np.bincount((self._gather + offsets).ravel(), weights=g.ravel(),
                             minlength=n_rows * self._slots.size)
-        if len(self._spectrum) != n_rows:  # entries off the slots stay zero
-            self._spectrum = spectrum = np.zeros((n_rows,) + self._half_shape, complex)
-            self._parts = spectrum.reshape(-1).view(np.float64)
+        if not self._spectra or len(self._spectra[0]) != n_rows:
+            self._spectra = [None if shape is None else np.zeros((n_rows,) + shape, complex)
+                             for shape in self._shapes]
+            self._parts = self._spectra[0].reshape(-1).view(np.float64)
             self._index = (self._parts.size // n_rows * np.arange(n_rows)[:, None]
                            + self._slots).ravel()
         self._parts[self._index] = g.ravel()
-        dim = self.grid.dim
-        if dim == 1:  # irfftn's axis handling costs as much as a short irfft
-            out = np.fft.irfft(self._spectrum, self.grid.points[0])
-        else:
-            out = np.fft.irfftn(self._spectrum, self.grid.shape, axes=range(1, dim + 1))
+        out = self._spectra[0]
+        for axis, (lines, spectrum) in enumerate(zip(self._lines, self._spectra[1:]), 1):
+            out = sfft.ifft(out, axis=axis)
+            if spectrum is not None:
+                spectrum[(slice(None),) * (axis + 1) + (lines,)] = out
+                out = spectrum
+        out = sfft.irfft(out, self.grid.points[-1])
         if not complex_valued:
             return out
         out = out.reshape((-1, 2) + self.grid.shape)

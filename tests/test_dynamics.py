@@ -460,33 +460,41 @@ def test_record_taken_mid_run_keeps_its_hit_times(gs_1d_s2):
     assert path.record(0).hit_times != early_hits
 
 
-def _transform_counts(gs, monkeypatch, record_stride):
-    """Field and sampler transforms of 10- and 20-step multiplicative paths."""
+def _transform_counts(gs, monkeypatch, record_stride, grid=None, spec=None):
+    """Field and sampler transforms of 10- and 20-step multiplicative paths.
+
+    The paths run on grid (1d N = 256 by default).  A transform called from
+    noise_model is the sampler's: "sampler" counts its inverse real FFTs and
+    "sampler_c2c" its complex passes; every other transform is a field one.
+    """
+    import sys
+
     import numpy.fft
     import scipy.fft
 
-    calls = {"field": 0, "sampler": 0}
+    calls = {"field": 0, "sampler": 0, "sampler_c2c": 0}
 
-    def counting(kind, fn):
+    def counting(name, fn):
         def wrapped(*args, **kwargs):
-            calls[kind] += 1
+            if sys._getframe(1).f_globals["__name__"] != "snls.noise_model":
+                calls["field" if "r" not in name else "sampler"] += 1
+            else:
+                calls["sampler" if name.startswith("irfft") else "sampler_c2c"] += 1
             return fn(*args, **kwargs)
         return wrapped
 
     for mod in (numpy.fft, scipy.fft):
-        for name in ("fft", "ifft", "fftn", "ifftn"):
-            monkeypatch.setattr(mod, name, counting("field", getattr(mod, name)))
-        for name in ("irfft", "irfftn"):
-            monkeypatch.setattr(mod, name, counting("sampler", getattr(mod, name)))
-    grid = GridSpec(1, 20.0, 256)
+        for name in ("fft", "ifft", "fftn", "ifftn", "irfft", "irfftn"):
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    grid = grid or GridSpec(1, 20.0, 256)
     q = ground_state_field(gs, grid)
-    spec = CovarianceSpec("fourier_diagonal", {(1,): 0.2})
+    spec = spec or CovarianceSpec("fourier_diagonal", {(1,): 0.2})
     counts = []
     for n_steps in (10, 20):
-        cfg = SimConfig(n=1, sigma=2.0, noise_type="multiplicative", dt0=1e-3,
+        cfg = SimConfig(n=grid.dim, sigma=gs.sigma, noise_type="multiplicative", dt0=1e-3,
                         T_end=n_steps * 1e-3, grad_threshold=1e3, record_stride=record_stride,
                         gs_refs=gs)
-        calls.update(field=0, sampler=0)
+        calls.update(field=0, sampler=0, sampler_c2c=0)
         rec = run_trajectory(cfg, q.with_values(q.values), spec, seed=(1, 0))  # no cached spectrum
         assert rec.status.kind == "survived"
         counts.append((dict(calls), len(rec.samples)))
@@ -521,6 +529,66 @@ def test_recorded_step_transforms(gs_1d_s2, monkeypatch):
     assert second["field"] - first["field"] == 4 * 10
     assert second["sampler"] - first["sampler"] == 10
     assert len(tail_checks) == 30 and all(tail_checks)
+
+
+def _nd_case(request, dim):
+    """The ground state, a grid and a covariance of a 2d or 3d count path."""
+    if dim == 2:
+        return (request.getfixturevalue("gs_2d_cubic"), GridSpec(2, (20.0, 16.0), (32, 24)),
+                CovarianceSpec("fourier_diagonal", {(1, 0): 0.05, (0, 2): 0.05, (2, -1): 0.03}))
+    return (request.getfixturevalue("gs_3d_cubic"), GridSpec(3, 12.0, 16),
+            CovarianceSpec("fourier_diagonal", {(1, 0, 0): 0.05, (0, 1, -1): 0.05}))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("record_stride", [1, 1000])
+def test_nd_step_transforms(request, monkeypatch, dim, record_stride):
+    # a step takes one field FFT pair and the sampler's d - 1 pruned complex
+    # passes and one inverse real FFT; a record adds the FFT of uhat and one
+    # inverse FFT per axis for the momentum
+    gs, grid, spec = _nd_case(request, dim)
+    counts = _transform_counts(gs, monkeypatch, record_stride, grid, spec)
+    (first, n_first), (second, n_second) = counts
+    records = n_second - n_first
+    assert records == (10 if record_stride == 1 else 0)
+    assert second["field"] - first["field"] == 2 * 10 + (1 + dim) * records
+    assert second["sampler_c2c"] - first["sampler_c2c"] == (dim - 1) * 10
+    assert second["sampler"] - first["sampler"] == 10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_step_deterministic_leaves_its_input_alone(request, dim):
+    # _linear transforms in place, but only in the step's own phased temporary
+    gs, grid, _ = _nd_case(request, dim) if dim > 1 else (
+        request.getfixturevalue("gs_1d_s2"), GridSpec(1, 20.0, 128), None)
+    u = ground_state_field(gs, grid)
+    spectral = u.spectral
+    values, spectral_bytes = u.values.tobytes(), spectral.tobytes()
+    step_deterministic(u, 1e-3, gs.sigma)
+    assert u.values.tobytes() == values
+    assert u.spectral is spectral and spectral.tobytes() == spectral_bytes
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("record_stride", [1, 3])
+def test_state_taken_before_advance_is_kept(request, dim, record_stride):
+    # a state taken at a record views the trajectory's field array; the steps
+    # that follow, recorded or not, transform in place only their own temporaries
+    gs, grid, spec = _nd_case(request, dim) if dim > 1 else (
+        request.getfixturevalue("gs_1d_s2"), GridSpec(1, 20.0, 128),
+        CovarianceSpec("fourier_diagonal", {(1,): 0.2}))
+    u0 = ground_state_field(gs, grid)
+    cfg = SimConfig(n=dim, sigma=gs.sigma, noise_type="multiplicative", dt0=1e-3, T_end=0.01,
+                    grad_threshold=1e3, record_stride=record_stride, gs_refs=gs)
+    path = Trajectory(cfg, [u0, u0], spec, [(1, 0), (1, 1)])
+    taken = []
+    while True:
+        states = [path.state(i) for i in range(2)]
+        taken += [(s, s.values.tobytes()) for s in states]
+        if not path.advance():
+            break
+    assert len(taken) > 4
+    assert all(s.values.tobytes() == b for s, b in taken)
 
 
 def test_sample_arrays_match_to_dict(gs_1d_s2):

@@ -9,6 +9,7 @@ from snls.grid import GridSpec
 from snls.noise_model import (
     CovarianceSpec,
     NoiseSampler,
+    _mode_table,
     gaussian_spectrum_amplitudes,
     make_rng,
     noise_constants,
@@ -433,3 +434,75 @@ def test_kernel_mode_amplitudes_match_per_point_loop(dim):
     assert list(got) == list(want)
     assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
     assert all(type(m) is int for k in got for m in k)
+
+
+def _irfftn_reference(sampler, normals, dts, complex_valued):
+    """The increments of numpy's irfftn over whole half spectra: each row's scaled
+    normals scattered into a half spectrum of the full grid, the normals of a
+    shared slot added in order, with slots worked out here from the mode table."""
+    grid = sampler.grid
+    modes, _ = _mode_table(sampler.spec, grid)
+    per_pair = np.where(modes.any(axis=1), 2, 1)
+    pair = np.repeat(np.arange(len(modes)), per_pair)
+    is_sin = np.arange(pair.size) - (np.cumsum(per_pair) - per_pair)[pair]
+    last = modes[:, -1]
+    flip = (last < 0) & (2 * last != -grid.points[-1])  # conj(c) at -m, off the Nyquist bin
+    target = np.where(flip[:, None], -modes, modes) % grid.points
+    half_shape = grid.shape[:-1] + (grid.points[-1] // 2 + 1,)
+    slots = 2 * np.ravel_multi_index(tuple(target.T), half_shape)[pair] + is_sin
+    g = normals * np.multiply.outer([dt**0.5 for dt in dts], sampler._coef)[:, None]
+    half = np.zeros((g.shape[0] * g.shape[1],) + half_shape, complex)
+    parts = half.reshape(len(half), -1).view(np.float64)
+    for row, values in zip(parts, g.reshape(len(half), -1)):
+        if np.unique(slots).size == slots.size:
+            row[slots] = values
+        else:
+            np.add.at(row, slots, values)
+    out = np.fft.irfftn(half, grid.shape, axes=range(1, grid.dim + 1))
+    if not complex_valued:
+        return out
+    out = out.reshape((-1, 2) + grid.shape)
+    return out[:, 0] / np.sqrt(2.0) + 1j * (out[:, 1] / np.sqrt(2.0))
+
+
+@st.composite
+def _sampler_cases(draw):
+    """A grid and a covariance: drawn modes (Nyquist components included, so pairs
+    such as (1, 4) and (1, -4) at N = 8 share a slot), a Gaussian spectrum of
+    k_max 0-4, or the 2d physical kernel of the oracle cases."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["modes", "gaussian"] + (["kernel"] if dim == 2 else [])))
+    if kind == "kernel":
+        _, grid, spec, _ = next(c for c in ORACLE_CASES if c[0] == "2d-kernel")
+        return grid, spec
+    points = tuple(draw(st.sampled_from([8, 10, 12, 16])) for _ in range(dim))
+    extent = tuple(draw(st.sampled_from([5.0, 2 * np.pi, 9.0])) for _ in range(dim))
+    grid = GridSpec(dim, extent, points, dealias_fraction=1.0)
+    if kind == "gaussian":
+        k_max = draw(st.integers(0, 4))
+        return grid, CovarianceSpec(
+            "fourier_diagonal", gaussian_spectrum_amplitudes(grid, 0.3, 0.7, k_max))
+    amplitudes = {}
+    for _ in range(draw(st.integers(0, 8))):
+        m = tuple(draw(st.integers(-n // 2, n // 2)) for n in points)
+        amplitudes[m] = 0.1 / (1 + sum(map(abs, m)))  # the same for m and -m
+    return grid, CovarianceSpec("fourier_diagonal", amplitudes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sampler_cases(), seed=st.integers(0, 2**32 - 1),
+       calls=st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=3))
+def test_synthesize_is_bitwise_irfftn(case, seed, calls):
+    # one sampler over several calls, so its scratch spectra are reused and resized
+    grid, spec = case
+    sampler = NoiseSampler(spec, grid)
+    rng = np.random.default_rng(seed)
+    for n_rows, complex_valued in calls:
+        normals = rng.standard_normal((n_rows, 1 + complex_valued, sampler.n_basis))
+        dts = rng.choice([1e-3, 0.01, 0.5], n_rows).tolist()
+        kept = normals.copy()
+        got = sampler.synthesize(normals, dts, complex_valued)
+        want = _irfftn_reference(sampler, normals, dts, complex_valued)
+        assert got.shape == want.shape == (n_rows,) + grid.shape
+        assert got.tobytes() == want.tobytes()
+        assert normals.tobytes() == kept.tobytes()

@@ -255,3 +255,21 @@ def test_observe_rows_is_bitwise_the_per_quantity_sums(dim, n_rows, sigma, seed,
     want = _reference_rows(FieldState(grid, u.values), t, m0, alpha, sigma)
     with patch.object(observables, "_STACK_BYTES", observables._STACK_BYTES if stacked else 0):
         assert observe_rows(u, t, m0, alpha, sigma) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cached", [False, True])
+def test_observe_rows_leaves_the_state_alone(dim, cached):
+    # the momentum's inverse FFTs run in place in their own products, never in u
+    grid = ROW_GRIDS[dim]
+    rng = np.random.default_rng(dim)
+    u = FieldState(grid, np.stack([random_smooth_field(grid, rng).values for _ in range(2)]))
+    values = u.values.tobytes()
+    spectral = u.spectral if cached else None
+    spectral_bytes = None if spectral is None else spectral.tobytes()
+    observe_rows(u, [0.0, 0.0], [1.0, 1.0], 0.5, 1.0)
+    assert u.values.tobytes() == values
+    if cached:
+        assert u.spectral is spectral and spectral.tobytes() == spectral_bytes
+    assert u.spectral.tobytes() == fft_field(np.frombuffer(values, complex).reshape(
+        u.values.shape), dim).tobytes()
