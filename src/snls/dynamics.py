@@ -63,10 +63,10 @@ into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s, pending until the
 next step or record.  A step is then one FFT pair, one evaluation of P and
 one complex exponential; P takes repeated products of |w|^2 for an integer
 sigma (grid.abs2_power).  Both transforms of the pair run in place, in the
-buffer of the phased temporary that _linear consumes.  The additive substep is not a phase, so there the
-trailing half step is applied before it on every step.  step_deterministic
-is the same Strang step on a FieldState, built from the same phase and
-propagator helpers.
+buffer of the phased temporary that _linear consumes.  The additive substep
+is not a phase, so there the trailing half step is applied before it on
+every step.  step_deterministic is the same Strang step on a FieldState,
+built from the same phase and propagator helpers.
 
 Every live row carries the same pending state, since the rows share one
 step count: after a step off the record stride the phase stays pending in

@@ -240,7 +240,8 @@ class NoiseSampler:
         unique = np.unique(slots)
         self._slots, self._gather = ((unique, np.searchsorted(unique, slots))
                                      if unique.size < slots.size else (slots, None))
-        self._spectra = []  # scratch, one row per real field, zero off the slots and lines
+        # scratch, one row per real field, zero off the slots and lines
+        self._spectra = [np.zeros((0,) + shapes[0], complex)]
 
     def sample_rows(self, dts, rngs, complex_valued: bool = False) -> np.ndarray:
         """One increment per row, row i drawn from rngs[i] with step dts[i].
@@ -272,7 +273,7 @@ class NoiseSampler:
             offsets = self._slots.size * np.arange(n_rows)[:, None]
             g = np.bincount((self._gather + offsets).ravel(), weights=g.ravel(),
                             minlength=n_rows * self._slots.size)
-        if not self._spectra or len(self._spectra[0]) != n_rows:
+        if len(self._spectra[0]) != n_rows:
             self._spectra = [None if shape is None else np.zeros((n_rows,) + shape, complex)
                              for shape in self._shapes]
             self._parts = self._spectra[0].reshape(-1).view(np.float64)

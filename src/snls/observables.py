@@ -76,9 +76,9 @@ def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
     sums are the same bits.  |uhat|^2 takes one FFT, cached on u and shared
     with the spectral-tail check; the momentum takes one inverse FFT per
     axis, in place in its product i xi_a uhat, so u and its cached spectrum
-    are left as they were.  The boundary fraction gathers its points from |u|^2.  The
-    finiteness check rides on the mass sums: the full scan runs only when
-    one of them is not finite.
+    are left as they were.  The boundary fraction gathers its points from
+    |u|^2.  The finiteness check rides on the mass sums: the full scan runs
+    only when one of them is not finite.
     """
     g = u.grid
     h = g.cell_volume
