@@ -477,7 +477,7 @@ def _transform_counts(gs, monkeypatch, record_stride, grid=None, spec=None):
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             if sys._getframe(1).f_globals["__name__"] != "snls.noise_model":
-                calls["field" if "r" not in name else "sampler"] += 1
+                calls["field"] += 1
             else:
                 calls["sampler" if name.startswith("irfft") else "sampler_c2c"] += 1
             return fn(*args, **kwargs)
