@@ -79,11 +79,11 @@ A record observes its rows as one batch state (observables.observe_rows):
 one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and the tail
 check, and one inverse FFT per axis for the momentum, in place in the
 buffer of its product i xi_a uhat; the grid sums of a small record are one
-stacked reduction.  The next leading half
-step uses the dt chosen after the adaptive check.  Overflow is not an error
-inside the loop: it makes the row's field non-finite, and a state that is
-not finite fails its row at its time t.  A state is checked when it is
-synced, or before the next step while it is pending.
+stacked reduction.  The next leading half step uses the dt chosen after the
+adaptive check.  Overflow is not an error inside the loop: it makes the
+row's field non-finite, and a state that is not finite fails its row at its
+time t.  A state is checked when it is synced, or before the next step while
+it is pending.
 
 Snapshot caveat: a row's position in its noise stream is its Philox state
 together with its normals drawn but not yet used, so a copy of a row's state
