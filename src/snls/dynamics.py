@@ -62,11 +62,10 @@ fuses the trailing half step, the noise phase and the next leading half step
 into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s, pending until the
 next step or record.  A step is then one FFT pair, one evaluation of P and
 one complex exponential; P takes repeated products of |w|^2 for an integer
-sigma (grid.abs2_power).  Both transforms of the pair run in place, in the
-buffer of the phased temporary that _linear consumes.  The additive substep
-is not a phase, so there the trailing half step is applied before it on
-every step.  step_deterministic is the same Strang step on a FieldState,
-built from the same phase and propagator helpers.
+sigma (grid.abs2_power).  The additive substep is not a phase, so there the
+trailing half step is applied before it on every step.  step_deterministic
+is the same Strang step on a FieldState, built from the same phase and
+propagator helpers.
 
 Every live row carries the same pending state, since the rows share one
 step count: after a step off the record stride the phase stays pending in
@@ -77,13 +76,12 @@ surviving path's last sample is its only one in that band; off the stride
 the ending row records a synced temporary and the other rows stay pending.
 A record observes its rows as one batch state (observables.observe_rows):
 one |u|^2, one FFT and one |uhat|^2 shared by the gradient norm and the tail
-check, and one inverse FFT per axis for the momentum, in place in the
-buffer of its product i xi_a uhat; the grid sums of a small record are one
-stacked reduction.  The next leading half step uses the dt chosen after the
-adaptive check.  Overflow is not an error inside the loop: it makes the
-row's field non-finite, and a state that is not finite fails its row at its
-time t.  A state is checked when it is synced, or before the next step while
-it is pending.
+check, and one inverse FFT per axis for the momentum; the grid sums of a
+small record are one stacked reduction.  The next leading half
+step uses the dt chosen after the adaptive check.  Overflow is not an error
+inside the loop: it makes the row's field non-finite, and a state that is
+not finite fails its row at its time t.  A state is checked when it is
+synced, or before the next step while it is pending.
 
 Snapshot caveat: a row's position in its noise stream is its Philox state
 together with its normals drawn but not yet used, so a copy of a row's state
@@ -266,14 +264,10 @@ def _propagator(grid: GridSpec, dt: float, masked: bool) -> np.ndarray:
 
 
 def _linear(values: np.ndarray, grid: GridSpec, prop: np.ndarray) -> np.ndarray:
-    """The linear full step over the grid axes.
-
-    It consumes values: both transforms run in its buffer, which holds the
-    result, so the caller passes a temporary it owns.
-    """
-    spec = fft_field(values, grid.dim, overwrite=True)
+    """The linear full step over the grid axes."""
+    spec = fft_field(values, grid.dim)
     spec *= prop
-    return ifft_field(spec, grid.dim, overwrite=True)
+    return ifft_field(spec, grid.dim)
 
 
 def step_deterministic(u: FieldState, dt: float, sigma: float) -> FieldState:

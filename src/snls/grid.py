@@ -154,23 +154,17 @@ class GridSpec:
         return mask
 
 
-def fft_field(values: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
+def fft_field(values: np.ndarray, dim: int) -> np.ndarray:
     """Unnormalized forward FFT over the last dim axes, so a leading row axis is kept.
 
-    With overwrite a complex input is transformed in its own buffer, which is
-    returned; a caller passes it only for a temporary it owns.  The 1d call
-    skips fftn's axis handling.
+    The 1d call skips fftn's axis handling.
     """
-    if dim == 1:
-        return sfft.fft(values, overwrite_x=overwrite)
-    return sfft.fftn(values, axes=range(-dim, 0), overwrite_x=overwrite)
+    return sfft.fft(values) if dim == 1 else sfft.fftn(values, axes=range(-dim, 0))
 
 
-def ifft_field(spectral: np.ndarray, dim: int, overwrite: bool = False) -> np.ndarray:
+def ifft_field(spectral: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of fft_field."""
-    if dim == 1:
-        return sfft.ifft(spectral, overwrite_x=overwrite)
-    return sfft.ifftn(spectral, axes=range(-dim, 0), overwrite_x=overwrite)
+    return sfft.ifft(spectral) if dim == 1 else sfft.ifftn(spectral, axes=range(-dim, 0))
 
 
 class FieldState:

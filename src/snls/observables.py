@@ -75,10 +75,9 @@ def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
     one.  Either way row_sums reduces each contiguous row on its own, so the
     sums are the same bits.  |uhat|^2 takes one FFT, cached on u and shared
     with the spectral-tail check; the momentum takes one inverse FFT per
-    axis, in place in its product i xi_a uhat, so u and its cached spectrum
-    are left as they were.  The boundary fraction gathers its points from
-    |u|^2.  The finiteness check rides on the mass sums: the full scan runs
-    only when one of them is not finite.
+    axis.  The boundary fraction gathers its points from |u|^2.  The
+    finiteness check rides on the mass sums: the full scan runs only when
+    one of them is not finite.
     """
     g = u.grid
     h = g.cell_volume
@@ -94,7 +93,7 @@ def observe_rows(u: FieldState, t, m0, alpha: float, sigma: float) -> list:
     np.multiply(g.radius_sq, abs2, out=out[2])
     np.multiply(g.laplacian_symbol, u.spectral_abs2, out=out[3])
     for axis in range(g.dim):  # x_a Im(conj(d_a u) u), formed in the transform's buffer
-        du = ifft_field(_i_xi(g, axis) * u.spectral, g.dim, overwrite=True)
+        du = ifft_field(_i_xi(g, axis) * u.spectral, g.dim)
         np.conjugate(du, out=du)
         du *= vals
         np.multiply(g.coords[axis], du.imag, out=out[4 + axis])

@@ -558,7 +558,7 @@ def test_nd_step_transforms(request, monkeypatch, dim, record_stride):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_step_deterministic_leaves_its_input_alone(request, dim):
-    # _linear transforms in place, but only in the step's own phased temporary
+    # the step builds its result in temporaries of its own, never in u or its spectrum
     gs, grid, _ = _nd_case(request, dim) if dim > 1 else (
         request.getfixturevalue("gs_1d_s2"), GridSpec(1, 20.0, 128), None)
     u = ground_state_field(gs, grid)
@@ -573,7 +573,7 @@ def test_step_deterministic_leaves_its_input_alone(request, dim):
 @pytest.mark.parametrize("record_stride", [1, 3])
 def test_state_taken_before_advance_is_kept(request, dim, record_stride):
     # a state taken at a record views the trajectory's field array; the steps
-    # that follow, recorded or not, transform in place only their own temporaries
+    # that follow, recorded or not, must not write into it
     gs, grid, spec = _nd_case(request, dim) if dim > 1 else (
         request.getfixturevalue("gs_1d_s2"), GridSpec(1, 20.0, 128),
         CovarianceSpec("fourier_diagonal", {(1,): 0.2}))

@@ -260,7 +260,7 @@ def test_observe_rows_is_bitwise_the_per_quantity_sums(dim, n_rows, sigma, seed,
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("cached", [False, True])
 def test_observe_rows_leaves_the_state_alone(dim, cached):
-    # the momentum's inverse FFTs run in place in their own products, never in u
+    # a record reads u and its cached spectrum and writes into neither
     grid = ROW_GRIDS[dim]
     rng = np.random.default_rng(dim)
     u = FieldState(grid, np.stack([random_smooth_field(grid, rng).values for _ in range(2)]))
