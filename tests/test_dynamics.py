@@ -463,29 +463,31 @@ def test_record_taken_mid_run_keeps_its_hit_times(gs_1d_s2):
 def _transform_counts(gs, monkeypatch, record_stride, grid=None, spec=None):
     """Field and sampler transforms of 10- and 20-step multiplicative paths.
 
-    The paths run on grid (1d N = 256 by default).  A transform called from
-    noise_model is the sampler's: "sampler" counts its inverse real FFTs and
-    "sampler_c2c" its complex passes; every other transform is a field one.
+    The paths run on grid (1d N = 256 by default).  The sampler's transforms
+    are counted through the scipy.fft namespace noise_model holds: "sampler"
+    its inverse real FFTs and "sampler_c2c" its complex passes.  Every
+    transform called through numpy.fft or scipy.fft is a field one.
     """
-    import sys
+    import types
 
     import numpy.fft
     import scipy.fft
 
+    import snls.noise_model
+
     calls = {"field": 0, "sampler": 0, "sampler_c2c": 0}
 
-    def counting(name, fn):
+    def counting(kind, fn):
         def wrapped(*args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] != "snls.noise_model":
-                calls["field"] += 1
-            else:
-                calls["sampler" if name.startswith("irfft") else "sampler_c2c"] += 1
+            calls[kind] += 1
             return fn(*args, **kwargs)
         return wrapped
 
+    monkeypatch.setattr(snls.noise_model, "sfft", types.SimpleNamespace(
+        ifft=counting("sampler_c2c", scipy.fft.ifft), irfft=counting("sampler", scipy.fft.irfft)))
     for mod in (numpy.fft, scipy.fft):
         for name in ("fft", "ifft", "fftn", "ifftn", "irfft", "irfftn"):
-            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+            monkeypatch.setattr(mod, name, counting("field", getattr(mod, name)))
     grid = grid or GridSpec(1, 20.0, 256)
     q = ground_state_field(gs, grid)
     spec = spec or CovarianceSpec("fourier_diagonal", {(1,): 0.2})
