@@ -20,12 +20,18 @@ are solved by Petviashvili's iteration, finer ones by Newton's method alone.
 The 3d cubic Q resolves at N = 144; sigma = 1.8 in 3d needs N = 486.
 M(Q), ||grad Q||^2 and ||Q||^(2 sigma+2) are Clenshaw-Curtis sums, and the
 profile (r, Q) samples the collocation polynomial in barycentric form up to
-the radius where Q falls to max(1e-9, 1e-10 Q(0)).
+the radius where Q falls to max(1e-9, 1e-10 Q(0)).  GroundState.profile_at
+reads Q between the samples from the not-a-knot cubic spline through them.
+That spline is built here in numpy and Python floats, in the operation
+order of scipy.interpolate.CubicSpline and the LAPACK dgtsv it calls, so it
+gives scipy's values bitwise without loading scipy.interpolate, which
+would bring scipy.linalg, scipy.sparse and more into every 2d/3d process.
 
 Every product and solve is elementwise numpy or einsum, never BLAS or LAPACK:
 their threaded kernels would make the last bits of Q, and every constant
 derived from it, depend on the thread count.  The results are bitwise the
-same for any OPENBLAS_NUM_THREADS.  No run imports scipy.integrate.
+same for any OPENBLAS_NUM_THREADS.  A run imports no scipy module but
+scipy.fft.
 
 Every returned GroundState is validated against the two Pokhozhaev identities
 
@@ -131,7 +137,9 @@ class GroundState:
         return r1, r2
 
     def profile_at(self, radius) -> np.ndarray:
-        """Q(|x|); explicit formula in 1d, cubic spline of the radial solve else.
+        """Q(|x|); explicit formula in 1d, else the not-a-knot cubic spline
+        through (r, profile), bitwise scipy.interpolate.CubicSpline's values
+        (see _CubicSpline).
 
         Beyond the sampled range the e^{-r} asymptotics take over.
         """
@@ -140,17 +148,102 @@ class GroundState:
             return explicit_q_1d(self.sigma, radius)
         spline = getattr(self, "_spline", None)
         if spline is None:
-            from scipy.interpolate import CubicSpline
-
-            spline = CubicSpline(self.r, self.profile)
+            spline = _CubicSpline(self.r, self.profile)
             object.__setattr__(self, "_spline", spline)
         r_e, q_e = self.r[-1], self.profile[-1]
-        q = np.asarray(spline(np.minimum(radius, r_e)), dtype=float)
+        q = np.asarray(spline(np.minimum(radius, r_e)))
         beyond = radius > r_e
         if np.any(beyond) and q_e > 0:
             decay = (r_e / radius[beyond]) ** ((self.n - 1) / 2.0)
             q[beyond] = q_e * decay * np.exp(-(radius[beyond] - r_e))
         return q
+
+
+class _CubicSpline:
+    """The not-a-knot cubic spline through float64 arrays (x, y) (de Boor, A
+    Practical Guide to Splines, Springer 1978), with bitwise the coefficients
+    and values of scipy.interpolate.CubicSpline(x, y).
+
+    The slopes solve CubicSpline's tridiagonal system, built with its
+    expressions, in the operation order of LAPACK's dgtsv (which CubicSpline
+    reaches through scipy.linalg.solve_banded); each piece is CubicSpline's
+    Hermite form, evaluated in PPoly's order.  Every step is one IEEE double
+    operation in the same order as scipy's, so no result rounds differently.
+    """
+
+    def __init__(self, x, y):
+        self.x = x
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d = np.empty(len(x))
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        d[0], d[-1] = dx[1], dx[-2]
+        du = np.append(x[2] - x[0], dx[:-1])
+        dl = np.append(dx[1:], x[-1] - x[-3])
+        b = np.empty(len(x))
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        h = x[2] - x[0]
+        b[0] = ((dx[0] + 2 * h) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / h
+        h = x[-1] - x[-3]
+        b[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * h + dx[-1]) * dx[-2] * slope[-1]) / h
+        s = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()), dtype=float)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.c = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+        # On uniform knots an interval is found by arithmetic, then corrected
+        # by one step either way; that needs every knot within half a step of
+        # x[0] + k h.
+        self.h = (x[-1] - x[0]) / (len(x) - 1)
+        self.uniform = len(x) * np.max(np.abs(dx - self.h)) < 0.5 * self.h
+
+    def interval(self, v):
+        """PPoly's interval index: i with x[i] <= v < x[i+1], 0 below x[0]
+        and len(x) - 2 at x[-1]; v is at most x[-1]."""
+        x, last = self.x, len(self.x) - 2
+        if not self.uniform:
+            return np.clip(np.searchsorted(x, v, side="right") - 1, 0, last)
+        i = np.clip(((v - x[0]) / self.h).astype(np.intp), 0, last)
+        i -= x.take(i) > v
+        i += x.take(i + 1) <= v
+        return np.clip(i, 0, last)
+
+    def __call__(self, v):
+        """The spline at v (an array, at most x[-1]; the first piece extends below x[0])."""
+        i = self.interval(v)
+        s = v - self.x.take(i)
+        s2 = s * s
+        c0, c1, c2, c3 = (c.take(i) for c in self.c)
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
+def _gtsv(dl, d, du, b):
+    """x with A x = b for the tridiagonal A with subdiagonal dl, diagonal d and
+    superdiagonal du (lists of floats, overwritten), in LAPACK dgtsv's
+    operation order: elimination with a row interchange wherever
+    |d[i]| < |dl[i]|, dl[i] then holding the fill-in, and back substitution.
+    A singular A raises ZeroDivisionError.
+    """
+    n = len(d)
+    dn, bn = d[0], b[0]  # row i's diagonal and right side, as eliminated so far
+    for i in range(n - 1):
+        li = dl[i]
+        if abs(dn) >= abs(li):
+            fact = li / dn
+            dn = d[i + 1] = d[i + 1] - fact * du[i]
+            bn = b[i + 1] = b[i + 1] - fact * bn
+            dl[i] = 0.0
+        else:
+            fact = dn / li
+            d[i], du[i], d[i + 1] = li, d[i + 1], du[i] - fact * d[i + 1]
+            if i + 2 < n:
+                dl[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], bn - fact * b[i + 1]
+            dn, bn = d[i + 1], b[i + 1]
+    x2 = b[-1] = b[-1] / d[-1]
+    x1 = b[-2] = (b[-2] - du[-1] * x2) / d[-2]
+    for i in range(n - 3, -1, -1):
+        x1, x2 = (b[i] - du[i] * x1 - dl[i] * x2) / d[i], x1
+        b[i] = x1
+    return b
 
 
 def ground_state_variance(gs: GroundState) -> float:

@@ -9,8 +9,11 @@ import pytest
 from scipy.integrate import quad
 
 import snls
+from snls.grid import GridSpec
 from snls.ground_state import (
     GroundStateError,
+    _CubicSpline,
+    _gtsv,
     classify_regime,
     energy_three_ways,
     explicit_q_1d,
@@ -178,6 +181,109 @@ def test_profile_at_matches_explicit():
     gs3 = solve_ground_state(3, 1.0)
     # spline consistency at the sample points themselves
     assert np.max(np.abs(gs3.profile_at(gs3.r) - gs3.profile)) < 1e-12
+
+
+def _scipy_profile_at(gs, radius):
+    """profile_at as it was with scipy.interpolate.CubicSpline: the oracle."""
+    from scipy.interpolate import CubicSpline
+
+    r_e, q_e = gs.r[-1], gs.profile[-1]
+    q = CubicSpline(gs.r, gs.profile)(np.minimum(radius, r_e))
+    beyond = radius > r_e
+    decay = (r_e / radius[beyond]) ** ((gs.n - 1) / 2.0)
+    q[beyond] = q_e * decay * np.exp(-(radius[beyond] - r_e))
+    return q
+
+
+@pytest.mark.parametrize("n,sigma", [(2, 1.0), (3, 1.0), (2, 1.5), (3, 0.7)])
+def test_profile_spline_is_scipy_cubic_spline_bitwise(n, sigma):
+    from scipy.interpolate import CubicSpline
+
+    gs = solve_ground_state(n, sigma)
+    ref = CubicSpline(gs.r, gs.profile)
+    spline = _CubicSpline(gs.r, gs.profile)
+    assert spline.uniform
+    for k in range(4):
+        assert spline.c[k].tobytes() == ref.c[k].tobytes()
+    r_e = gs.r[-1]
+    mid = (gs.r[:-1] + gs.r[1:]) / 2.0
+    grid = GridSpec(n, (20.0, 30.0, 12.0)[:n], (32, 16, 8)[:n])
+    for radius in (np.array([0.0]), gs.r, mid, np.array([r_e, np.nextafter(r_e, 0.0)]),
+                   np.linspace(0.0, r_e, 4097), np.sqrt(grid.radius_sq)):
+        assert spline(radius).tobytes() == ref(radius).tobytes()
+        assert np.array_equal(spline.interval(radius),
+                              np.clip(np.searchsorted(gs.r, radius, side="right") - 1,
+                                      0, len(gs.r) - 2))
+    # profile_at, tail branch included
+    radius = np.concatenate(([0.0, r_e, 1.5 * r_e, 3.0 * r_e], np.sqrt(grid.radius_sq).ravel()))
+    assert gs.profile_at(radius).tobytes() == _scipy_profile_at(gs, radius).tobytes()
+    for scalar in (0.0, r_e / 2.0, 1.5 * r_e):  # a number gives a 0-d array, as before
+        q = gs.profile_at(scalar)
+        assert q.shape == () and q.tobytes() == gs.profile_at(np.array([scalar])).tobytes()
+
+
+def test_profile_spline_is_scipy_cubic_spline_on_uneven_knots():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(3)
+    x = np.cumsum(rng.uniform(0.1, 2.0, 60))
+    y = np.sin(x) + rng.normal(0.0, 0.1, 60)
+    spline, ref = _CubicSpline(x, y), CubicSpline(x, y)
+    assert not spline.uniform
+    assert all(spline.c[k].tobytes() == ref.c[k].tobytes() for k in range(4))
+    v = np.concatenate(([x[0] - 1.0], x, rng.uniform(x[0], x[-1], 1000)))
+    assert spline(v).tobytes() == ref(v).tobytes()
+
+
+def test_tridiagonal_solve_is_lapack_gtsv_bitwise():
+    # random systems, so that rows are interchanged, against dgtsv itself
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(0)
+    for n in range(3, 40):
+        dl, d, du, b = (rng.normal(size=m) for m in (n - 1, n, n - 1, n))
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        ref = solve_banded((1, 1), ab, b.reshape(n, 1)).ravel()
+        got = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_a_3d_run_imports_no_scipy_module_but_fft():
+    # a fresh process, because this one has imported scipy.integrate and more
+    code = (
+        "import sys\n"
+        "import scipy.fft\n"
+        "before = {m for m in sys.modules if m.startswith('scipy')}\n"
+        "from snls.config import ExperimentConfig, materialize\n"
+        "from snls.dynamics import Trajectory\n"
+        "from snls.initial_data import initial_state\n"
+        "cfg = ExperimentConfig.from_dict({'name': 'm3',\n"
+        "    'grid': {'dim': 3, 'extent': 20.0, 'points': 8},\n"
+        "    'physics': {'n': 3, 'sigma': 1.0, 'noise_type': 'multiplicative'},\n"
+        "    'covariance': {'kind': 'gaussian_spectrum', 'scale': 1.0, 'strength': 0.05,\n"
+        "                   'width': 1.0, 'k_max': 2},\n"
+        "    'initial_data': {'family': 'scaled_ground_state',\n"
+        "                     'params': {'mass_fraction': 0.64}},\n"
+        "    'run': {'dt': 1e-3, 'T_end': 0.005, 'record_stride': 2}})\n"
+        "grid, gs, sim, cov, init, _ = materialize(cfg)\n"
+        "u0 = initial_state(init, grid, gs, 0, 0)\n"
+        "path = Trajectory(sim, [u0], cov, [(0, 0)])\n"
+        "while path.advance():\n"
+        "    pass\n"
+        "assert path.rows[0].status.time > 0\n"
+        "print(' '.join(sorted({m for m in sys.modules if m.startswith('scipy')} - before)))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+    src = str(Path(snls.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    new, loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout.splitlines()
+    assert new == ""
+    loaded = loaded.split()
+    assert "scipy.fft" in loaded
+    for name in ("scipy.interpolate", "scipy.linalg", "scipy.sparse"):
+        assert name not in loaded
 
 
 # Q(1e-8), M, ||grad Q||^2 and ||Q||^(2s+2) from the radial shooting solver that
