@@ -62,10 +62,11 @@ fuses the trailing half step, the noise phase and the next leading half step
 into one  w exp(-i (dt/2 P + dW + dt'/2 P)),  P = |w|^2s, pending until the
 next step or record.  A step is then one FFT pair, one evaluation of P and
 one complex exponential; P takes repeated products of |w|^2 for an integer
-sigma (grid.abs2_power).  The additive substep is not a phase, so there the
-trailing half step is applied before it on every step.  step_deterministic
-is the same Strang step on a FieldState, built from the same phase and
-propagator helpers.
+sigma (grid.abs2_power).  The FFT pair runs in place in the step's phased
+temporary, which becomes its spectrum and then the post-linear field.  The
+additive substep is not a phase, so there the trailing half step is applied
+before it on every step.  step_deterministic is the same Strang step on a
+FieldState, built from the same phase and propagator helpers.
 
 Every live row carries the same pending state, since the rows share one
 step count: after a step off the record stride the phase stays pending in
@@ -264,10 +265,11 @@ def _propagator(grid: GridSpec, dt: float, masked: bool) -> np.ndarray:
 
 
 def _linear(values: np.ndarray, grid: GridSpec, prop: np.ndarray) -> np.ndarray:
-    """The linear full step over the grid axes."""
-    spec = fft_field(values, grid.dim)
+    """The linear full step over the grid axes, in place: values, a temporary
+    of the caller's, becomes its spectrum and then the result."""
+    spec = fft_field(values, grid.dim, out=values)
     spec *= prop
-    return ifft_field(spec, grid.dim)
+    return ifft_field(spec, grid.dim, out=spec)
 
 
 def step_deterministic(u: FieldState, dt: float, sigma: float) -> FieldState:

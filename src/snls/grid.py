@@ -3,8 +3,9 @@
 The domain is the centered torus [-L/2, L/2)^dim sampled on N uniform points
 per axis.  All quadratures are plain Riemann sums, which are spectrally
 accurate for smooth periodic data.  Spectral coefficients use the unnormalized
-FFT (scipy.fft, one worker); Parseval then reads
-h^dim * sum|u|^2 == (h^dim / Ntot) * sum|uhat|^2.
+FFT; Parseval then reads h^dim * sum|u|^2 == (h^dim / Ntot) * sum|uhat|^2.
+The transforms are numpy.fft's, taken so that they give scipy.fft's bits
+(see fft_field and ifft_field), so no run loads a scipy module.
 
 A FieldState may hold a batch of fields, one per row of a leading axis.  The
 *_rows functions give one value per row, each reduced on its own so that it
@@ -14,11 +15,11 @@ row, and mass is the one single-field reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 __all__ = [
     "GridSpec",
@@ -154,17 +155,40 @@ class GridSpec:
         return mask
 
 
-def fft_field(values: np.ndarray, dim: int) -> np.ndarray:
+def fft_field(values: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized forward FFT over the last dim axes, so a leading row axis is kept.
 
-    The 1d call skips fftn's axis handling.
+    The spectrum is written into out when it is given, which may be values
+    itself.  A 2d or 3d transform takes one pass per grid axis, the first grid
+    axis first, as scipy.fft.fftn does; numpy.fft.fftn takes the last axis
+    first, and its bits differ.
     """
-    return sfft.fft(values) if dim == 1 else sfft.fftn(values, axes=range(-dim, 0))
+    if dim == 1:
+        return np.fft.fft(values, out=out)
+    out = np.fft.fft(values, axis=-dim, out=out)
+    for axis in range(1 - dim, 0):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
 
 
-def ifft_field(spectral: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of fft_field."""
-    return sfft.ifft(spectral) if dim == 1 else sfft.ifftn(spectral, axes=range(-dim, 0))
+def ifft_field(spectral: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of fft_field, written into out (C-contiguous, may be spectral) when given.
+
+    A 2d or 3d inverse takes unnormalized passes in fft_field's axis order and
+    scales by 1 / Ntot right after the first pass, where scipy.fft.ifftn
+    applies its factor.  Scaling each pass by its own 1 / N, or once after the
+    last, rounds differently except on power-of-two grids.
+    """
+    if dim == 1:
+        return np.fft.ifft(spectral, out=out)
+    if out is None:
+        out = np.empty(spectral.shape, dtype=np.complex128)
+    np.fft.ifft(spectral, axis=-dim, norm="forward", out=out)
+    floats = out.view(np.float64)
+    floats *= 1.0 / math.prod(out.shape[-dim:])
+    for axis in range(1 - dim, 0):
+        np.fft.ifft(out, axis=axis, norm="forward", out=out)
+    return out
 
 
 class FieldState:

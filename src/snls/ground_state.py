@@ -30,8 +30,8 @@ would bring scipy.linalg, scipy.sparse and more into every 2d/3d process.
 Every product and solve is elementwise numpy or einsum, never BLAS or LAPACK:
 their threaded kernels would make the last bits of Q, and every constant
 derived from it, depend on the thread count.  The results are bitwise the
-same for any OPENBLAS_NUM_THREADS.  A run imports no scipy module but
-scipy.fft.
+same for any OPENBLAS_NUM_THREADS.  A run imports no scipy module at all:
+its transforms are numpy.fft's, taken to give scipy.fft's bits (see grid).
 
 Every returned GroundState is validated against the two Pokhozhaev identities
 

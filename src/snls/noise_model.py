@@ -19,7 +19,6 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import GridSpec
 
@@ -197,12 +196,13 @@ class NoiseSampler:
     one, and their normals add.  Synthesis writes one row per real field of
     scratch spectra the sampler owns, so use one sampler per thread, and runs
     the passes of numpy's irfftn in its order over all rows: an inverse
-    complex FFT along each grid axis but the last, then the inverse real FFT
-    along the last.  A pass transforms only the lines whose later-axis
-    indices some mode takes (FFT pruning, Markel 1971).  That is exact: every
-    other line is all zero and would transform to exact zeros, and each line
-    is transformed on its own, so the increments are bitwise irfftn's.  In
-    1d there is only the last pass.
+    complex FFT along each grid axis but the last, each into a scratch buffer
+    of its input's shape, then the inverse real FFT along the last, into a
+    fresh array of increments.  A pass transforms only the lines whose
+    later-axis indices some mode takes (FFT pruning, Markel 1971).  That is
+    exact: every other line is all zero and would transform to exact zeros,
+    and each line is transformed on its own, so the increments are bitwise
+    irfftn's.  In 1d there is only the last pass.
     """
 
     def __init__(self, spec: CovarianceSpec, grid: GridSpec):
@@ -232,9 +232,8 @@ class NoiseSampler:
         # cut to their taken indices _lines[a:], and writes its lines into the next
         # one; a pass whose next axis takes every index hands its output on whole.
         self._lines = [np.unique(col) for col in target.T[1:]]
-        shapes = [half_shape[:a + 1] + tuple(map(len, self._lines[a:]))
-                  for a in range(grid.dim)]
-        self._shapes = shapes[:1] + [s if s != p else None for p, s in zip(shapes, shapes[1:])]
+        shapes = self._shapes = [half_shape[:a + 1] + tuple(map(len, self._lines[a:]))
+                                 for a in range(grid.dim)]
         cut = [target[:, 0]] + [np.searchsorted(i, c) for i, c in zip(self._lines, target.T[1:])]
         slots = 2 * np.ravel_multi_index(cut, shapes[0])[pair] + is_sin
         unique = np.unique(slots)
@@ -274,19 +273,22 @@ class NoiseSampler:
             g = np.bincount((self._gather + offsets).ravel(), weights=g.ravel(),
                             minlength=n_rows * self._slots.size)
         if len(self._spectra[0]) != n_rows:
-            self._spectra = [None if shape is None else np.zeros((n_rows,) + shape, complex)
-                             for shape in self._shapes]
+            shapes = [(n_rows,) + shape for shape in self._shapes]
+            self._spectra = [np.zeros(shapes[0], complex)] + [
+                np.zeros(s, complex) if s != p else None for p, s in zip(shapes, shapes[1:])]
+            self._buffers = [np.empty(s, complex) for s in shapes[:-1]]  # one per pass
             self._parts = self._spectra[0].reshape(-1).view(np.float64)
             self._index = (self._parts.size // n_rows * np.arange(n_rows)[:, None]
                            + self._slots).ravel()
         self._parts[self._index] = g.ravel()
         out = self._spectra[0]
-        for axis, (lines, spectrum) in enumerate(zip(self._lines, self._spectra[1:]), 1):
-            out = sfft.ifft(out, axis=axis)
+        for axis, (lines, spectrum, buffer) in enumerate(
+                zip(self._lines, self._spectra[1:], self._buffers), 1):
+            out = np.fft.ifft(out, axis=axis, out=buffer)
             if spectrum is not None:
                 spectrum[(slice(None),) * (axis + 1) + (lines,)] = out
                 out = spectrum
-        out = sfft.irfft(out, self.grid.points[-1])
+        out = np.fft.irfft(out, self.grid.points[-1])
         if not complex_valued:
             return out
         out = out.reshape((-1, 2) + self.grid.shape)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from snls.ensemble import EnsembleConfig, drift_check, run_ensemble
 from snls.grid import FieldState, GridSpec, mass
 from snls.initial_data import InitialData, ground_state_field
 from snls.noise_model import CovarianceSpec, make_rng, noise_constants
+from snls.observables import observe
 
 
 def assert_rows_match_alone(cfg, u0s, spec, seeds):
@@ -71,6 +73,26 @@ def test_rows_that_end_differently(gs_1d_s2, noise, stride):
     assert [(r.status.kind, r.status.reason) for r in records] == [
         ("blownup", None), ("failed", "overflow"), ("survived", None),
         ("blownup", "spectral tail")]
+
+
+@pytest.mark.parametrize("noise", ["none", "multiplicative", "additive"])
+def test_rows_that_overflow_advance_without_a_warning(gs_1d_s2, noise):
+    # numpy's FFTs report overflow and invalid values; a run keeps them quiet, as
+    # it does its own, and a non-finite field still fails observe with ValueError
+    grid = GRIDS[1]
+    cfg = SimConfig(n=1, sigma=2.0, noise_type=noise, dt0=1e-3, T_end=0.1505,
+                    grad_threshold=20.0, record_stride=1, gs_refs=gs_1d_s2)
+    spec = None if noise == "none" else CovarianceSpec("fourier_diagonal", {(1,): 0.01})
+    with np.errstate(over="ignore"):  # the 1e80 row's |u|^4 overflows in its first sample
+        path = Trajectory(cfg, _mixed_rows(gs_1d_s2, grid), spec, [(9, i) for i in range(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while path.advance():
+            pass
+        with pytest.raises(ValueError, match="non-finite"):
+            observe(FieldState(grid, np.full(grid.shape, np.nan + 0j)), 0.0, 1.0, 0.0, 2.0)
+    assert [r.status.kind for r in path.records()] == ["blownup", "failed", "survived",
+                                                       "blownup"]
 
 
 @pytest.mark.parametrize("noise", ["none", "multiplicative"])

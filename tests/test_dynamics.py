@@ -463,31 +463,45 @@ def test_record_taken_mid_run_keeps_its_hit_times(gs_1d_s2):
 def _transform_counts(gs, monkeypatch, record_stride, grid=None, spec=None):
     """Field and sampler transforms of 10- and 20-step multiplicative paths.
 
-    The paths run on grid (1d N = 256 by default).  The sampler's transforms
-    are counted through the scipy.fft namespace noise_model holds: "sampler"
-    its inverse real FFTs and "sampler_c2c" its complex passes.  Every
-    transform called through numpy.fft or scipy.fft is a field one.
+    The paths run on grid (1d N = 256 by default).  A field transform is a
+    call of grid.fft_field or grid.ifft_field, counted in every module that
+    calls it.  The sampler's transforms are counted at numpy.fft while
+    NoiseSampler.synthesize runs: "sampler" its inverse real FFTs and
+    "sampler_c2c" its complex passes.
     """
-    import types
-
     import numpy.fft
-    import scipy.fft
 
+    import snls.dynamics
+    import snls.grid
     import snls.noise_model
+    import snls.observables
 
     calls = {"field": 0, "sampler": 0, "sampler_c2c": 0}
+    synthesizing = []
 
-    def counting(kind, fn):
+    def counting(kind, fn, inside=False):
         def wrapped(*args, **kwargs):
-            calls[kind] += 1
+            if synthesizing or not inside:
+                calls[kind] += 1
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(snls.noise_model, "sfft", types.SimpleNamespace(
-        ifft=counting("sampler_c2c", scipy.fft.ifft), irfft=counting("sampler", scipy.fft.irfft)))
-    for mod in (numpy.fft, scipy.fft):
-        for name in ("fft", "ifft", "fftn", "ifftn", "irfft", "irfftn"):
-            monkeypatch.setattr(mod, name, counting("field", getattr(mod, name)))
+    def synthesize(self, *args, **kwargs):
+        synthesizing.append(True)
+        try:
+            return real_synthesize(self, *args, **kwargs)
+        finally:
+            synthesizing.pop()
+
+    real_synthesize = snls.noise_model.NoiseSampler.synthesize
+    monkeypatch.setattr(snls.noise_model.NoiseSampler, "synthesize", synthesize)
+    monkeypatch.setattr(numpy.fft, "ifft", counting("sampler_c2c", numpy.fft.ifft, inside=True))
+    monkeypatch.setattr(numpy.fft, "irfft", counting("sampler", numpy.fft.irfft, inside=True))
+    for name in ("fft_field", "ifft_field"):
+        field = counting("field", getattr(snls.grid, name))
+        for mod in (snls.grid, snls.dynamics, snls.observables):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, field)
     grid = grid or GridSpec(1, 20.0, 256)
     q = ground_state_field(gs, grid)
     spec = spec or CovarianceSpec("fourier_diagonal", {(1,): 0.2})

@@ -436,10 +436,11 @@ def test_kernel_mode_amplitudes_match_per_point_loop(dim):
     assert all(type(m) is int for k in got for m in k)
 
 
-def _irfftn_reference(sampler, normals, dts, complex_valued):
-    """The increments of numpy's irfftn over whole half spectra: each row's scaled
-    normals scattered into a half spectrum of the full grid, the normals of a
-    shared slot added in order, with slots worked out here from the mode table."""
+def _irfftn_reference(sampler, normals, dts, complex_valued, irfftn=np.fft.irfftn):
+    """The increments of numpy's irfftn (or the irfftn given) over whole half
+    spectra: each row's scaled normals scattered into a half spectrum of the
+    full grid, the normals of a shared slot added in order, with slots worked
+    out here from the mode table."""
     grid = sampler.grid
     modes, _ = _mode_table(sampler.spec, grid)
     per_pair = np.where(modes.any(axis=1), 2, 1)
@@ -458,7 +459,7 @@ def _irfftn_reference(sampler, normals, dts, complex_valued):
             row[slots] = values
         else:
             np.add.at(row, slots, values)
-    out = np.fft.irfftn(half, grid.shape, axes=range(1, grid.dim + 1))
+    out = irfftn(half, grid.shape, axes=range(1, grid.dim + 1))
     if not complex_valued:
         return out
     out = out.reshape((-1, 2) + grid.shape)

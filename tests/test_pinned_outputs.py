@@ -7,11 +7,13 @@ computed with its own functions (the script is loaded from its path).  A
 refactor that leaves these hashes alone leaves the reports, the simulated
 records and the ground states bitwise the same.
 
-The hashes are pinned for the numpy and scipy of the machine that recorded
-them, like ``test_persisted_bytes_are_pinned``: another BLAS, FFT or scipy
-version may move the last bits.  The two ``mult-mass-check*`` presets run
-1e5 steps each (about 40 s together), so their record lines are checked by
-hand with ``python scripts/record_hashes.py mult-mass-check mult-mass-check-s3``.
+The hashes are pinned for the numpy of the machine that recorded them, like
+``test_persisted_bytes_are_pinned``: another numpy or BLAS may move the last
+bits.  They were recorded when the transforms were scipy.fft's; the numpy.fft
+passes that replaced them give scipy's bits (``test_transforms.py``), so no
+hash moved.  The two ``mult-mass-check*`` presets run 1e5 steps each (about
+40 s together), so their record lines are checked by hand with
+``python scripts/record_hashes.py mult-mass-check mult-mass-check-s3``.
 
 No preset runs a 2d path, and the 3d preset stops before its first record,
 so two configs of this file pin those: a 2d additive run on an anisotropic
